@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidDomain, NonIntegrableJump
 
@@ -63,12 +63,12 @@ class MertonNormal:
         return float(np.exp(q * self.mean[i] + 0.5 * q * q * self.cov[i, i]))
 
     def component_radius(self, i: int, tail: float) -> float:
-        z = norm.isf(tail / 2.0)
+        z = -ndtri(tail / 2.0)  # standard normal upper quantile
         return abs(self.mean[i]) + z * np.sqrt(max(self.cov[i, i], 0.0))
 
     def component_cdf(self, y: np.ndarray, i: int) -> np.ndarray:
         sd = np.sqrt(max(self.cov[i, i], 1e-300))
-        return norm.cdf((y - self.mean[i]) / sd)
+        return ndtr((y - self.mean[i]) / sd)
 
     @property
     def components_independent(self) -> bool:

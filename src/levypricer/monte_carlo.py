@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import GridCoverageTooSmall, TieBreak
+from .errors import GridCoverageTooSmall, OutOfDomain, TieBreak
 from .model import LevyModel, simulate_log_blocks
 from .payoffs import Payoff
 from .pide import Solution, interp_level
@@ -213,8 +213,12 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
 
     Time grid matches the PIDE grid; paths exiting the lattice stop
     contributing; sampled integrand uses the solver's exercise indicator,
-    closed-form Psi^- and the interpolated jump field.
+    closed-form Psi^- and the interpolated jump field.  Paths start at s = 0
+    only: step k is read from PIDE level k and discounted by grid.times[k].
     """
+    if s != 0.0:
+        raise OutOfDomain(f"premium integral starts at s = 0 only (got s = {s:g}); the model "
+                          f"is time-homogeneous, so solve with maturity T - s and pass s = 0")
     grid = solution.grid
     if abs(T - grid.T) > 1e-12:
         raise ValueError("premium integral must use the solution's maturity")
@@ -243,7 +247,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
                 psim = payoff.psi_minus(prices, model.rates, model.gaussian)
             u = interp_level(solution.values, grid, k, zin)
             jf = interp_level(solution.jump_field, grid, k, zin)
-            disc = np.exp(-r * (grid.times[k] - 0.0))
+            disc = np.exp(-r * grid.times[k])
             payload = disc * (psim > 0) * (psim - jf) * dt
             for tol in exercise_tols:
                 in_band = u - psi <= tol * (1.0 + psi)

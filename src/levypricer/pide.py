@@ -5,17 +5,21 @@ truncated tensor grid in log prices.  The diffusion/drift/rate part is
 implicit (one sparse solve per step), the jump integral is an explicit
 convolution against a stencil of jump-law cell masses, and the obstacle is
 enforced through a penalty source n (u - psi)^- driven up a ladder of n
-values, with semismooth-Newton inner iterations.
+values, with semismooth-Newton inner iterations.  The Newton iteration of
+each time level starts from the active set the previous level converged to
+and keeps that set's sparse LU factor, refactorizing only when the set
+moves; the unpenalized step matrix is factored once per American solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.ndimage import binary_dilation, binary_erosion
-from scipy.signal import convolve as _direct_convolve
 from scipy.sparse.linalg import splu
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
@@ -180,8 +184,9 @@ class DiscreteOperator:
         """sum_c K[c] u(z + y_c) on the core lattice, from an extended array."""
         if self.lam == 0:
             return np.zeros(self.grid.shape)
-        flip = self.stencil[::-1] if self.grid.dim == 1 else self.stencil[::-1, ::-1]
-        return _direct_convolve(extended, flip, mode="valid", method="auto")
+        if self.grid.dim == 1:
+            return np.convolve(extended, self.stencil[::-1], "valid")
+        return _fft_convolve_valid(extended, self.stencil[::-1, ::-1])
 
     def extend(self, core: np.ndarray, frame_values: np.ndarray) -> np.ndarray:
         """Paste the core field into a precomputed far-field frame."""
@@ -192,11 +197,17 @@ class DiscreteOperator:
         out[sl] = core
         return out
 
-    def extended_mesh(self) -> np.ndarray:
+    @cached_property
+    def frame_prices(self) -> np.ndarray:
+        """Prices on the extended mesh (the core grid plus the stencil reach)."""
         axes = [self.grid.z_min[i] + self.grid.dz[i] * np.arange(-self.offsets[i], self.grid.n_space + self.offsets[i])
                 for i in range(self.grid.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        return np.exp(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+    @cached_property
+    def boundary_prices(self) -> np.ndarray:
+        """Prices at the grid boundary nodes, shape (n_boundary, dim)."""
+        return np.exp(self.grid.mesh().reshape(-1, self.grid.dim)[self.boundary_mask])
 
     def generator_action(self, core: np.ndarray, extended: np.ndarray | None = None,
                          include_rate: bool = True) -> np.ndarray:
@@ -213,6 +224,19 @@ class DiscreteOperator:
         if include_rate:
             out = out - self.model.rates.r * core
         return out
+
+
+def _fft_convolve_valid(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """'valid' part of the linear convolution, by zero-padded real FFTs.
+
+    Padding to the next fast length of the full size follows
+    scipy.signal.fftconvolve bit for bit.  A circular FFT at the core size is
+    off in the last ulp, which flips round-off values at psi = 0 in and out
+    of the penalty active set.
+    """
+    fshape = [next_fast_len(sa + sk - 1, True) for sa, sk in zip(a.shape, kernel.shape)]
+    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
+    return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
 
 
 def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
@@ -332,7 +356,11 @@ def far_field_values(payoff: Payoff, model: LevyModel, zpts: np.ndarray, tau: fl
     American values are floored at the obstacle so deep-in-the-money
     boundaries carry the immediate-exercise value.
     """
-    prices = np.exp(zpts)
+    return _far_field(payoff, model, np.exp(zpts), tau, american)
+
+
+def _far_field(payoff: Payoff, model: LevyModel, prices: np.ndarray, tau: float,
+               american: bool) -> np.ndarray:
     fwd = prices * np.exp((model.rates.r - model.rates.delta) * tau)
     vals = np.exp(-model.rates.r * tau) * payoff.evaluate(fwd)
     if american:
@@ -428,14 +456,7 @@ def _step_matrix(operator: DiscreteOperator, dt: float) -> sp.csc_matrix:
 def _frame(operator: DiscreteOperator, payoff: Payoff, tau: float, american: bool) -> np.ndarray | None:
     if operator.lam == 0:
         return None
-    zpts = operator.extended_mesh()
-    return far_field_values(payoff, operator.model, zpts, tau, american)
-
-
-def _boundary_rhs(operator: DiscreteOperator, payoff: Payoff, zmesh: np.ndarray,
-                  tau: float, american: bool) -> np.ndarray:
-    vals = far_field_values(payoff, operator.model, zmesh, tau, american)
-    return vals.ravel()[operator.boundary_mask]
+    return _far_field(payoff, operator.model, operator.frame_prices, tau, american)
 
 
 def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
@@ -459,7 +480,8 @@ def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
         if operator.lam > 0:
             ext = operator.extend(values[k + 1], _frame(operator, payoff, tau_next, False))
             rhs = rhs + operator.convolve(ext).ravel()
-        rhs[operator.boundary_mask] = _boundary_rhs(operator, payoff, zmesh, tau_here, False) / disc
+        rhs[operator.boundary_mask] = _far_field(payoff, operator.model, operator.boundary_prices,
+                                                 tau_here, False) / disc
         values[k] = disc * lu.solve(rhs).reshape(grid.shape)
     jump = _jump_fields(values, operator, payoff, american=False)
     return Solution(grid=grid, kind="european", payoff=payoff, values=values,
@@ -469,19 +491,27 @@ def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
 
 
 def _penalty_pass(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
-                  n_pen: float, zmesh: np.ndarray):
+                  n_pen: float, base: sp.csc_matrix, base_lu):
+    """One rung of the ladder: (values, source, Newton solves, factorizations).
+
+    Each level starts from the previous level's converged active set and its
+    factor.  It still stops only when the set it solved with is reproduced,
+    and the penalized system has one solution, so the start saves work
+    without changing the answer.
+    """
     grid = operator.grid
     dt = grid.dt
     n_levels = grid.n_time + 1
     values = np.empty((n_levels, *grid.shape))
     source = np.zeros((n_levels, *grid.shape))
     values[-1] = psi
-    base = _step_matrix(operator, dt)
-    base_lu = splu(base)
     psi_flat = psi.ravel()
     disc = np.exp(-operator.model.rates.r * dt)
     psi_step = psi_flat / disc  # obstacle in pre-discount units
     interior = ~operator.boundary_mask
+    active = np.zeros_like(interior)
+    lu, lu_active = None, active  # no factor of its own for the empty set
+    solves = factorizations = 0
     for k in range(grid.n_time - 1, -1, -1):
         tau_next = grid.T - grid.times[k + 1]
         tau_here = grid.T - grid.times[k]
@@ -489,23 +519,25 @@ def _penalty_pass(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
         if operator.lam > 0:
             ext = operator.extend(values[k + 1], _frame(operator, payoff, tau_next, True))
             rhs = rhs + operator.convolve(ext).ravel()
-        rhs[operator.boundary_mask] = _boundary_rhs(operator, payoff, zmesh, tau_here, True) / disc
+        rhs[operator.boundary_mask] = _far_field(payoff, operator.model, operator.boundary_prices,
+                                                 tau_here, True) / disc
 
-        v = values[k + 1].ravel() / disc
-        active_prev = None
         for _ in range(_NEWTON_CAP):
-            active = interior & (v < psi_step)
-            if active_prev is not None and np.array_equal(active, active_prev):
-                break  # v already solves the system for this active set
             try:
-                if active.any():
-                    mat = (base + sp.diags(n_pen * active.astype(float))).tocsc()
-                    v = splu(mat).solve(rhs + n_pen * active * psi_step)
-                else:
-                    v = base_lu.solve(rhs)
+                if not np.array_equal(active, lu_active):
+                    lu = None  # release the stale factor before building the next
+                    if active.any():
+                        lu = splu((base + sp.diags(n_pen * active.astype(float))).tocsc())
+                        factorizations += 1
+                    lu_active = active
+                v = base_lu.solve(rhs) if lu is None else lu.solve(rhs + n_pen * active * psi_step)
             except RuntimeError as exc:  # pragma: no cover
                 raise LinearSolveFailure(str(exc)) from exc
-            active_prev = active
+            solves += 1
+            reached = interior & (v < psi_step)
+            if np.array_equal(reached, active):
+                break  # v solves the system for the set it was solved with
+            active = reached
         else:
             raise NewtonStall(f"penalty iterations exceeded {_NEWTON_CAP} at level {k}")
         u_pre = disc * v
@@ -513,7 +545,7 @@ def _penalty_pass(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
         # projection safeguard: finite penalty leaves a O(Psi^-/n) gap below
         # the obstacle; clip so the stored field honours u >= psi
         values[k] = np.maximum(u_pre, psi_flat).reshape(grid.shape)
-    return values, source
+    return values, source, solves, factorizations
 
 
 def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
@@ -525,17 +557,24 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     Solutions must be nodewise nondecreasing along the ladder (monotone
     approximation from below); the returned Solution uses the largest
     penalty.  The realized penalty source n (u - psi)^- is stored per level
-    as the discrete surrogate of the reflection-measure density.
+    as the discrete surrogate of the reflection-measure density.  Metadata
+    counts, per rung, the Newton linear solves and the penalized-matrix
+    factorizations; the unpenalized step matrix is factored once per call
+    on top of those.
     """
     ladder = tuple(float(v) for v in penalty)
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("penalty ladder must be strictly increasing")
-    zmesh = grid.mesh()
-    psi = payoff.evaluate(np.exp(zmesh))
+    psi = payoff.evaluate(np.exp(grid.mesh()))
+    base = _step_matrix(operator, grid.dt)
+    base_lu = splu(base)
     prev = None
-    changes = []
+    changes, solves, factorizations = [], [], []
     for n_pen in ladder:
-        values, source = _penalty_pass(operator, payoff, psi, n_pen, zmesh)
+        values, source, n_solves, n_factors = _penalty_pass(operator, payoff, psi, n_pen,
+                                                             base, base_lu)
+        solves.append(n_solves)
+        factorizations.append(n_factors)
         if prev is not None:
             drop = float((prev - values).max())
             if drop > _OBSTACLE_SLACK:
@@ -555,6 +594,7 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     exercise[-1] = psi > 0  # terminal layer: u(T) = psi exactly
     jump = _jump_fields(prev, operator, payoff, american=True)
     meta = {"penalty_ladder": list(ladder), "ladder_relative_changes": changes,
+            "newton_solves": solves, "factorizations": factorizations,
             "stencil_mass_defect": operator.raw_mass_defect}
     return Solution(grid=grid, kind="american", payoff=payoff, values=prev,
                     obstacle=psi, exercise_set=exercise, jump_field=jump,

@@ -86,6 +86,10 @@ class TestPrice:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert "pide" in summary and "mc" not in summary
+        diagnostics = summary["diagnostics"]
+        assert set(diagnostics) == {"newton_solves", "factorizations"}
+        for counts in diagnostics.values():
+            assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
 
     def test_spot_dimension_mismatch(self, small_setup):
         model, payoff, solver, mc, out = small_setup

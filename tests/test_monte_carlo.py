@@ -163,6 +163,15 @@ class TestPremiumEstimator:
             estimate_premium_mc(bs_model, put_1d, amer, 0.0, [SPOT], 1.0,
                                 1000, grid.n_time + 1, seed=0)
 
+    def test_start_time_must_be_zero(self, bs_solves, bs_model, put_1d):
+        grid, _, amer, _ = bs_solves
+        with pytest.raises(lp.OutOfDomain, match="s = 0"):
+            premium_sweep(bs_model, put_1d, amer, 0.25, [SPOT], 1.0, 1000,
+                          seed=0, exercise_tols=(1e-6,))
+        with pytest.raises(lp.OutOfDomain, match="T - s"):
+            estimate_premium_mc(bs_model, put_1d, amer, 0.25, [SPOT], 1.0,
+                                1000, grid.n_time, seed=0)
+
     def test_grid_coverage_guard(self, bs_model, put_1d):
         # deliberately narrow lattice: most paths leave it
         grid = Grid(dim=1, T=1.0, n_space=51, n_time=20,

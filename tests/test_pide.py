@@ -172,6 +172,16 @@ class TestSolveAmerican:
         assert (values[1e3] - values[1e2]).min() > -1e-8
         assert (values[1e4] - values[1e3]).min() > -1e-8
 
+    def test_newton_counters_per_rung(self, bs_solves):
+        grid, _, amer, _ = bs_solves
+        solves = amer.metadata["newton_solves"]
+        factorizations = amer.metadata["factorizations"]
+        assert len(solves) == len(factorizations) == len(amer.metadata["penalty_ladder"])
+        # every level solves at least once; the warm-started active set is
+        # refactorized only on the levels where it moves
+        assert all(n >= grid.n_time for n in solves)
+        assert all(0 <= f < grid.n_time for f in factorizations)
+
     def test_ladder_must_increase(self, bs_model, put_1d, bs_solves):
         grid, op, _, _ = bs_solves
         with pytest.raises(ValueError):
