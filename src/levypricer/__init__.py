@@ -5,17 +5,17 @@ early-exercise premium identity."""
 from .errors import (BetaTooSmall, GridCoverageTooSmall, InvalidDomain, KinkTooClose,
                      LinearSolveFailure, ModelRejected, NewtonStall, NonIntegrableJump,
                      OutOfDomain, PenaltyNonMonotone, PricingError,
-                     QuadratureTailTooHeavy, TieBreak)
+                     QuadratureTailTooHeavy, SchemeNotMonotone, TieBreak)
 from .model import (Empirical, GaussianPart, JumpSpec, KouDoubleExponential,
                     LevyModel, MertonNormal, PathSet, Rates, ValidationReport,
                     calibrate_drift, exp_moment, load_model, model_from_dict,
                     model_to_dict, simulate_paths, validate_integrability)
 from .monte_carlo import (Estimate, MCConfig, RegressionBasis, estimate_premium_mc,
                           price_american_ls, price_european_mc)
-from .payoffs import Payoff, PsiField, load_payoff, payoff_from_dict
+from .payoffs import Payoff, load_payoff, payoff_from_dict
 from .pide import (DiscreteOperator, Grid, Solution, SolverConfig, apply_jump_operator,
                    assemble, build_grid, complementarity_residual, export_solution_csv,
-                   interpolate, solve_american_penalty, solve_european)
+                   interpolate, solve_american_penalty, solve_european, solve_pair)
 from .premium import (PremiumReport, RegionReport, boundary_curve,
                       exercise_region_report, premium_identity)
 

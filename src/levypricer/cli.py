@@ -10,6 +10,7 @@ arrays go to files in --out.  Exit codes: 0 success, 1 domain failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,8 +24,9 @@ from .errors import PricingError
 from .model import exp_moment, load_model, model_to_dict, validate_integrability
 from .monte_carlo import MCConfig, price_american_ls, price_european_mc, RegressionBasis
 from .payoffs import load_payoff
-from .pide import (SolverConfig, assemble, build_grid, complementarity_residual,
-                   export_solution_csv, solve_american_penalty, solve_european)
+from .pide import SolverConfig, complementarity_residual, export_solution_csv, solve_pair
+# not called here since solve_pair runs them; perfbench/tracing.py patches these names here
+from .pide import assemble, build_grid, solve_american_penalty, solve_european  # noqa: F401
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -54,9 +56,7 @@ def _load_inputs(args):
         if getattr(args, "mc_config", None) else MCConfig()
     n_threads = _threads(args)
     if n_threads is not None:
-        mc_cfg = MCConfig(n_paths=mc_cfg.n_paths, n_steps=mc_cfg.n_steps,
-                          seed=mc_cfg.seed, basis_degree=mc_cfg.basis_degree,
-                          n_threads=n_threads)
+        mc_cfg = dataclasses.replace(mc_cfg, n_threads=n_threads)
     return model, payoff, spot, solver_cfg, mc_cfg
 
 
@@ -98,13 +98,7 @@ def cmd_price(args) -> int:
     T = float(args.T)
     summary = {"spot": spot.tolist(), "T": T, "method": args.method}
     if args.method in ("pide", "both"):
-        grid = build_grid(model, payoff, spot, T, solver_cfg.n_space, solver_cfg.n_time,
-                          solver_cfg.beta, solver_cfg.trunc_tol, solver_cfg.y_max_tail)
-        operator = assemble(model, grid, solver_cfg.y_max_tail)
-        eur = solve_european(model, payoff, grid, operator)
-        amer = solve_american_penalty(model, payoff, grid, operator,
-                                      penalty=solver_cfg.penalty_ladder,
-                                      exercise_tol=solver_cfg.exercise_tol)
+        _, _, amer, eur = solve_pair(model, payoff, spot, T, solver_cfg)
         summary["pide"] = {"european": eur.value_at_spot(), "american": amer.value_at_spot()}
         # counts only: the summary must not depend on how fast the host ran
         summary["diagnostics"] = {key: amer.metadata[key]
@@ -142,13 +136,7 @@ def cmd_premium(args) -> int:
                                     solver_cfg.beta, epsilon=0.1)
     if not report.ok:
         raise ModelRejected("integrability report contains a failure; see `validate`")
-    grid = build_grid(model, payoff, spot, T, solver_cfg.n_space, solver_cfg.n_time,
-                      solver_cfg.beta, solver_cfg.trunc_tol, solver_cfg.y_max_tail)
-    operator = assemble(model, grid, solver_cfg.y_max_tail)
-    amer = solve_american_penalty(model, payoff, grid, operator,
-                                  penalty=solver_cfg.penalty_ladder,
-                                  exercise_tol=solver_cfg.exercise_tol)
-    eur = solve_european(model, payoff, grid, operator)
+    grid, _, amer, eur = solve_pair(model, payoff, spot, T, solver_cfg)
     report = premium_mod.premium_identity(model, payoff, spot, T, solver_cfg, mc_cfg,
                                           solutions=(amer, eur))
     summary = report.to_dict()
@@ -174,20 +162,9 @@ def cmd_converge(args) -> int:
     rows = []
     for i, (ns, nt, npaths) in enumerate(levels):
         t0 = time.perf_counter()
-        cfg = SolverConfig(n_space=ns, n_time=nt, beta=solver_cfg.beta,
-                           penalty_ladder=solver_cfg.penalty_ladder,
-                           trunc_tol=solver_cfg.trunc_tol,
-                           y_max_tail=solver_cfg.y_max_tail,
-                           exercise_tol=solver_cfg.exercise_tol)
-        mc = MCConfig(n_paths=npaths, n_steps=nt, seed=mc_cfg.seed,
-                      basis_degree=mc_cfg.basis_degree, n_threads=mc_cfg.n_threads)
-        grid = build_grid(model, payoff, spot, T, ns, nt, cfg.beta,
-                          cfg.trunc_tol, cfg.y_max_tail)
-        operator = assemble(model, grid, cfg.y_max_tail)
-        amer = solve_american_penalty(model, payoff, grid, operator,
-                                      penalty=cfg.penalty_ladder,
-                                      exercise_tol=cfg.exercise_tol)
-        eur = solve_european(model, payoff, grid, operator)
+        cfg = dataclasses.replace(solver_cfg, n_space=ns, n_time=nt)
+        mc = dataclasses.replace(mc_cfg, n_paths=npaths, n_steps=nt)
+        _, operator, amer, eur = solve_pair(model, payoff, spot, T, cfg)
         report = premium_mod.premium_identity(model, payoff, spot, T, cfg, mc,
                                               solutions=(amer, eur))
         _, resid = complementarity_residual(amer, operator, payoff)

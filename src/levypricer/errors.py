@@ -29,6 +29,11 @@ class QuadratureTailTooHeavy(PricingError):
     """Jump-law mass beyond the stencil radius exceeds the requested quantile."""
 
 
+class SchemeNotMonotone(PricingError):
+    """Grid and model break the explicit jump step (dt * lambda < 1) or the
+    monotone cross-derivative stencil."""
+
+
 class LinearSolveFailure(PricingError):
     """Implicit banded system could not be factorized."""
 

@@ -34,19 +34,6 @@ _PUT_KINDS = (MIN_PUT, INDEX_PUT, SPREAD_PUT)
 
 
 @dataclass(frozen=True)
-class PsiField:
-    """Closed-form evaluator of Psi^- together with its validity region."""
-
-    payoff: "Payoff"
-    rates: Rates
-    gaussian: GaussianPart
-    region: str = "psi > 0"
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.payoff.psi_minus(x, self.rates, self.gaussian)
-
-
-@dataclass(frozen=True)
 class Payoff:
     kind: str
     dim: int
@@ -150,10 +137,6 @@ class Payoff:
             out = np.full(x.shape[:-1], self.const)
         return out[0] if scalar else out
 
-    def log_transform(self, z) -> np.ndarray:
-        """psi-tilde(z) = psi(e^{z_1}, ..., e^{z_d}), the positive-orthant branch."""
-        return self.evaluate(np.exp(np.asarray(z, dtype=float)))
-
     def growth_exponent(self) -> float:
         if self.kind in (MIN_PUT, INDEX_PUT, CONSTANT):
             return 0.0
@@ -219,9 +202,6 @@ class Payoff:
 
         out = np.where(pos, np.maximum(raw, 0.0), 0.0)
         return out[0] if scalar else out
-
-    def psi_field(self, rates: Rates, gaussian: GaussianPart) -> PsiField:
-        return PsiField(payoff=self, rates=rates, gaussian=gaussian)
 
     # ------------------------------------------------------------------ #
     # smoothness and fd verification

@@ -5,10 +5,12 @@ truncated tensor grid in log prices.  The diffusion/drift/rate part is
 implicit (one sparse solve per step), the jump integral is an explicit
 convolution against a stencil of jump-law cell masses, and the obstacle is
 enforced through a penalty source n (u - psi)^- driven up a ladder of n
-values, with semismooth-Newton inner iterations.  The Newton iteration of
-each time level starts from the active set the previous level converged to
-and keeps that set's sparse LU factor, refactorizing only when the set
-moves; the unpenalized step matrix is factored once per American solve.
+values, with semismooth-Newton inner iterations.  European and American
+solves run one backward sweep (the European one without obstacle) and keep
+its jump convolutions for the stored jump field.  The step matrix is
+factored once per operator; each Newton level starts from the previous
+level's active set and factor and refactorizes only when the set moves.
+`solve_pair` is the pipeline: grid, operator, American and European solves.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.ndimage import binary_dilation, binary_erosion
 from scipy.sparse.linalg import splu
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
-                     PenaltyNonMonotone, QuadratureTailTooHeavy)
+                     PenaltyNonMonotone, QuadratureTailTooHeavy, SchemeNotMonotone)
 from .model import Empirical, LevyModel
 from .payoffs import CONSTANT, Payoff
 
@@ -104,6 +106,14 @@ class Grid:
     @property
     def center_index(self) -> tuple:
         return ((self.n_space - 1) // 2,) * self.dim
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """Read-only mask of the nodes off the grid boundary, shape `shape`."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = True
+        mask.setflags(write=False)
+        return mask
 
     def mesh(self) -> np.ndarray:
         """Node coordinates, shape (*shape, dim)."""
@@ -209,6 +219,22 @@ class DiscreteOperator:
         """Prices at the grid boundary nodes, shape (n_boundary, dim)."""
         return np.exp(self.grid.mesh().reshape(-1, self.grid.dim)[self.boundary_mask])
 
+    @cached_property
+    def step_matrix(self) -> sp.csc_matrix:
+        """I/dt - local on interior rows, identity on boundary rows.
+
+        The rate term is not in the matrix: r I commutes with the generator,
+        so discounting is applied as an exact e^{-r dt} factor after each step.
+        """
+        interior = self.grid.interior.ravel().astype(float)
+        a = sp.diags(interior) @ (sp.identity(interior.size) / self.grid.dt - self.local)
+        return (a + sp.diags(self.boundary_mask.astype(float))).tocsc()
+
+    @cached_property
+    def step_lu(self):
+        """Sparse LU of `step_matrix`, shared by every solve on this operator."""
+        return splu(self.step_matrix)
+
     def generator_action(self, core: np.ndarray, extended: np.ndarray | None = None,
                          include_rate: bool = True) -> np.ndarray:
         """Discrete generator applied to a field (interior rows; boundary rows junk).
@@ -309,11 +335,14 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = 1e-10) -> Discret
     n = grid.n_space
     dz = grid.dz
     if grid.dt * lam >= 1.0:
-        raise ValueError(f"explicit jump term needs dt * lambda < 1 (have {grid.dt * lam:.3g})")
+        raise SchemeNotMonotone(f"explicit jump term needs dt * lambda < 1 (have {grid.dt * lam:.3g}); "
+                                f"use n_time >= {int(np.floor(grid.T * lam)) + 1}")
     if grid.dim == 2:
         lim = min(a[0, 0] * dz[1] / dz[0], a[1, 1] * dz[0] / dz[1])
         if abs(a[0, 1]) > lim + 1e-15:
-            raise ValueError("mixed derivative too strong for a monotone cross stencil")
+            raise SchemeNotMonotone(
+                f"mixed derivative |a12| = {abs(a[0, 1]):.3g} exceeds the monotone cross-stencil "
+                f"bound min(a11 dz2/dz1, a22 dz1/dz2) = {lim:.3g}; lower the correlation below it")
 
     if grid.dim == 1:
         local = 0.5 * a[0, 0] * _axis_second_diff(n, dz[0]) \
@@ -327,21 +356,13 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = 1e-10) -> Discret
             + a[0, 1] * sp.kron(dc[0], dc[1]) \
             + b[0] * sp.kron(d1[0], eye) + b[1] * sp.kron(eye, d1[1])
     local = local - lam * sp.identity(n ** grid.dim)
-
-    interior = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[ax] = 0
-        interior[tuple(sl)] = False
-        sl[ax] = -1
-        interior[tuple(sl)] = False
-    boundary = ~interior.ravel()
-    local = sp.diags(interior.ravel().astype(float)) @ local.tocsr()
+    interior = grid.interior.ravel()
+    local = sp.diags(interior.astype(float)) @ local.tocsr()
 
     stencil, m, radius, defect = _jump_stencil(model, grid, y_max_tail)
     kappa = model.jumps.mean_exp_minus_one(model.dim)
     return DiscreteOperator(grid=grid, model=model, local=local.tocsr(),
-                            boundary_mask=boundary, stencil=stencil, offsets=m,
+                            boundary_mask=~interior, stencil=stencil, offsets=m,
                             kappa=kappa, y_max=radius, raw_mass_defect=defect)
 
 
@@ -442,110 +463,80 @@ def interpolate(solution: Solution, t: float, x) -> float:
 # Time stepping
 # --------------------------------------------------------------------------- #
 
-def _step_matrix(operator: DiscreteOperator, dt: float) -> sp.csc_matrix:
-    # the rate term is NOT in the matrix: r I commutes with the generator, so
-    # discounting is applied as an exact e^{-r dt} factor after each step
-    grid = operator.grid
-    n_total = grid.n_space ** grid.dim
-    interior = (~operator.boundary_mask).astype(float)
-    a = sp.diags(interior) @ (sp.identity(n_total) / dt - operator.local)
-    a = a + sp.diags(operator.boundary_mask.astype(float))
-    return a.tocsc()
+def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
+           n_pen: float | None = None):
+    """One backward IMEX sweep: (values, source, convolutions, Newton solves,
+    factorizations).
 
-
-def _frame(operator: DiscreteOperator, payoff: Payoff, tau: float, american: bool) -> np.ndarray | None:
-    if operator.lam == 0:
-        return None
-    return _far_field(payoff, operator.model, operator.frame_prices, tau, american)
-
-
-def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
-                   operator: DiscreteOperator) -> Solution:
-    """Backward IMEX sweep for the Cauchy problem (no obstacle)."""
-    zmesh = grid.mesh()
-    psi = payoff.evaluate(np.exp(zmesh))
-    n_levels = grid.n_time + 1
-    values = np.empty((n_levels, *grid.shape))
-    values[-1] = psi
-    dt = grid.dt
-    try:
-        lu = splu(_step_matrix(operator, dt))
-    except RuntimeError as exc:  # pragma: no cover - should not happen for dt > 0
-        raise LinearSolveFailure(str(exc)) from exc
-    disc = np.exp(-operator.model.rates.r * dt)
-    for k in range(grid.n_time - 1, -1, -1):
-        tau_next = grid.T - grid.times[k + 1]
-        tau_here = grid.T - grid.times[k]
-        rhs = values[k + 1].ravel() / dt
-        if operator.lam > 0:
-            ext = operator.extend(values[k + 1], _frame(operator, payoff, tau_next, False))
-            rhs = rhs + operator.convolve(ext).ravel()
-        rhs[operator.boundary_mask] = _far_field(payoff, operator.model, operator.boundary_prices,
-                                                 tau_here, False) / disc
-        values[k] = disc * lu.solve(rhs).reshape(grid.shape)
-    jump = _jump_fields(values, operator, payoff, american=False)
-    return Solution(grid=grid, kind="european", payoff=payoff, values=values,
-                    obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
-                    jump_field=jump,
-                    metadata={"stencil_mass_defect": operator.raw_mass_defect})
-
-
-def _penalty_pass(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
-                  n_pen: float, base: sp.csc_matrix, base_lu):
-    """One rung of the ladder: (values, source, Newton solves, factorizations).
-
-    Each level starts from the previous level's converged active set and its
-    factor.  It still stops only when the set it solved with is reproduced,
-    and the penalized system has one solution, so the start saves work
-    without changing the answer.
+    Each step solves the implicit system against the explicit jump
+    convolution K * u of the level above, which is kept per level.  With
+    n_pen None there is no obstacle and each step is one solve with the
+    operator's step factor.  Otherwise each level starts from the previous
+    level's converged active set and its factor.  It still stops only when
+    the set it solved with is reproduced, and the penalized system has one
+    solution, so the start saves work without changing the answer.
     """
     grid = operator.grid
     dt = grid.dt
-    n_levels = grid.n_time + 1
-    values = np.empty((n_levels, *grid.shape))
-    source = np.zeros((n_levels, *grid.shape))
+    tau = grid.T - grid.times
+    american = n_pen is not None
+    values = np.empty((grid.n_time + 1, *grid.shape))
+    conv = np.zeros_like(values)
+    source = np.zeros_like(values) if american else None
     values[-1] = psi
     psi_flat = psi.ravel()
     disc = np.exp(-operator.model.rates.r * dt)
     psi_step = psi_flat / disc  # obstacle in pre-discount units
-    interior = ~operator.boundary_mask
+    interior = grid.interior.ravel()
     active = np.zeros_like(interior)
     lu, lu_active = None, active  # no factor of its own for the empty set
     solves = factorizations = 0
     for k in range(grid.n_time - 1, -1, -1):
-        tau_next = grid.T - grid.times[k + 1]
-        tau_here = grid.T - grid.times[k]
         rhs = values[k + 1].ravel() / dt
         if operator.lam > 0:
-            ext = operator.extend(values[k + 1], _frame(operator, payoff, tau_next, True))
-            rhs = rhs + operator.convolve(ext).ravel()
+            conv[k + 1] = _jump_convolution(operator, payoff, values[k + 1], tau[k + 1], american)
+            rhs = rhs + conv[k + 1].ravel()
         rhs[operator.boundary_mask] = _far_field(payoff, operator.model, operator.boundary_prices,
-                                                 tau_here, True) / disc
-
+                                                 tau[k], american) / disc
         for _ in range(_NEWTON_CAP):
             try:
                 if not np.array_equal(active, lu_active):
                     lu = None  # release the stale factor before building the next
                     if active.any():
-                        lu = splu((base + sp.diags(n_pen * active.astype(float))).tocsc())
+                        lu = splu((operator.step_matrix
+                                   + sp.diags(n_pen * active.astype(float))).tocsc())
                         factorizations += 1
                     lu_active = active
-                v = base_lu.solve(rhs) if lu is None else lu.solve(rhs + n_pen * active * psi_step)
+                v = operator.step_lu.solve(rhs) if lu is None \
+                    else lu.solve(rhs + n_pen * active * psi_step)
             except RuntimeError as exc:  # pragma: no cover
                 raise LinearSolveFailure(str(exc)) from exc
             solves += 1
-            reached = interior & (v < psi_step)
+            reached = interior & (v < psi_step) if american else active
             if np.array_equal(reached, active):
                 break  # v solves the system for the set it was solved with
             active = reached
         else:
             raise NewtonStall(f"penalty iterations exceeded {_NEWTON_CAP} at level {k}")
-        u_pre = disc * v
-        source[k] = (n_pen * np.maximum(psi_flat - u_pre, 0.0)).reshape(grid.shape)
-        # projection safeguard: finite penalty leaves a O(Psi^-/n) gap below
-        # the obstacle; clip so the stored field honours u >= psi
-        values[k] = np.maximum(u_pre, psi_flat).reshape(grid.shape)
-    return values, source, solves, factorizations
+        u = disc * v
+        if american:
+            source[k] = (n_pen * np.maximum(psi_flat - u, 0.0)).reshape(grid.shape)
+            # projection safeguard: finite penalty leaves a O(Psi^-/n) gap
+            # below the obstacle; clip so the stored field honours u >= psi
+            u = np.maximum(u, psi_flat)
+        values[k] = u.reshape(grid.shape)
+    return values, source, conv, solves, factorizations
+
+
+def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
+                   operator: DiscreteOperator) -> Solution:
+    """Backward IMEX sweep for the Cauchy problem (no obstacle)."""
+    psi = payoff.evaluate(np.exp(grid.mesh()))
+    values, _, conv, _, _ = _sweep(operator, payoff, psi)
+    return Solution(grid=grid, kind="european", payoff=payoff, values=values,
+                    obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
+                    jump_field=_jump_field(operator, payoff, values, conv, american=False),
+                    metadata={"stencil_mass_defect": operator.raw_mass_defect})
 
 
 def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
@@ -559,20 +550,17 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     penalty.  The realized penalty source n (u - psi)^- is stored per level
     as the discrete surrogate of the reflection-measure density.  Metadata
     counts, per rung, the Newton linear solves and the penalized-matrix
-    factorizations; the unpenalized step matrix is factored once per call
-    on top of those.
+    factorizations; the step matrix is factored once per operator on top of
+    those.
     """
     ladder = tuple(float(v) for v in penalty)
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("penalty ladder must be strictly increasing")
     psi = payoff.evaluate(np.exp(grid.mesh()))
-    base = _step_matrix(operator, grid.dt)
-    base_lu = splu(base)
     prev = None
     changes, solves, factorizations = [], [], []
     for n_pen in ladder:
-        values, source, n_solves, n_factors = _penalty_pass(operator, payoff, psi, n_pen,
-                                                             base, base_lu)
+        values, source, conv, n_solves, n_factors = _sweep(operator, payoff, psi, n_pen)
         solves.append(n_solves)
         factorizations.append(n_factors)
         if prev is not None:
@@ -592,19 +580,47 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     exercise = (prev - psi <= exercise_tol * (1.0 + psi)) \
         & (psi > exercise_tol) & (source > source_floor)
     exercise[-1] = psi > 0  # terminal layer: u(T) = psi exactly
-    jump = _jump_fields(prev, operator, payoff, american=True)
     meta = {"penalty_ladder": list(ladder), "ladder_relative_changes": changes,
             "newton_solves": solves, "factorizations": factorizations,
             "stencil_mass_defect": operator.raw_mass_defect}
     return Solution(grid=grid, kind="american", payoff=payoff, values=prev,
-                    obstacle=psi, exercise_set=exercise, jump_field=jump,
+                    obstacle=psi, exercise_set=exercise,
+                    jump_field=_jump_field(operator, payoff, prev, conv, american=True),
                     penalty=ladder[-1], penalty_source=source,
                     exercise_tol=exercise_tol, metadata=meta)
+
+
+def solve_pair(model: LevyModel, payoff: Payoff, spot, T: float, cfg: SolverConfig):
+    """The solve pipeline: (grid, operator, american, european) on one grid
+    and one operator, so both solves share its step factor."""
+    grid = build_grid(model, payoff, spot, T, cfg.n_space, cfg.n_time, cfg.beta,
+                      cfg.trunc_tol, cfg.y_max_tail)
+    operator = assemble(model, grid, cfg.y_max_tail)
+    american = solve_american_penalty(model, payoff, grid, operator,
+                                      penalty=cfg.penalty_ladder, exercise_tol=cfg.exercise_tol)
+    return grid, operator, american, solve_european(model, payoff, grid, operator)
 
 
 # --------------------------------------------------------------------------- #
 # Jump operator field and residual
 # --------------------------------------------------------------------------- #
+
+def _jump_convolution(operator: DiscreteOperator, payoff: Payoff, core: np.ndarray,
+                      tau: float, american: bool) -> np.ndarray:
+    """K * u on the core lattice, with the far-field values of time-to-go tau
+    beyond it."""
+    frame = _far_field(payoff, operator.model, operator.frame_prices, tau, american)
+    return operator.convolve(operator.extend(core, frame))
+
+
+def _compensate(operator: DiscreteOperator, conv: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """L_I u = (K * u) - lambda u - sum_i lambda kappa_i d_i u, in log coordinates."""
+    out = conv - operator.lam * core
+    for i in range(operator.grid.dim):
+        grad = np.gradient(core, operator.grid.dz[i], axis=i)
+        out = out - operator.lam * operator.kappa[i] * grad
+    return out
+
 
 def apply_jump_operator(solution: Solution, operator: DiscreteOperator, k: int) -> np.ndarray:
     """L_I u at time level k: compensated jump integral of the stored field.
@@ -615,30 +631,24 @@ def apply_jump_operator(solution: Solution, operator: DiscreteOperator, k: int) 
     grid = solution.grid
     if operator.lam == 0:
         return np.zeros(grid.shape)
-    return _jump_level(solution.values[k], operator, solution.payoff,
-                       grid.T - grid.times[k], solution.kind == "american")
+    core = solution.values[k]
+    conv = _jump_convolution(operator, solution.payoff, core, grid.T - grid.times[k],
+                             solution.kind == "american")
+    return _compensate(operator, conv, core)
 
 
-def _jump_level(core: np.ndarray, operator: DiscreteOperator, payoff: Payoff,
-                tau: float, american: bool) -> np.ndarray:
-    grid = operator.grid
-    ext = operator.extend(core, _frame(operator, payoff, tau, american))
-    out = operator.convolve(ext) - operator.lam * core
-    for i in range(grid.dim):
-        grad = np.gradient(core, grid.dz[i], axis=i)
-        out = out - operator.lam * operator.kappa[i] * grad
-    return out
+def _jump_field(operator: DiscreteOperator, payoff: Payoff, values: np.ndarray,
+                conv: np.ndarray, american: bool) -> np.ndarray:
+    """L_I u per level, in place of `conv` (zero when lambda = 0).
 
-
-def _jump_fields(values: np.ndarray, operator: DiscreteOperator, payoff: Payoff,
-                 american: bool) -> np.ndarray:
-    grid = operator.grid
-    out = np.zeros_like(values)
-    if operator.lam == 0:
-        return out
-    for k in range(values.shape[0]):
-        out[k] = _jump_level(values[k], operator, payoff, grid.T - grid.times[k], american)
-    return out
+    Levels 1..n_time reuse the convolutions the sweep made; level 0 is the
+    only one it did not convolve.
+    """
+    if operator.lam > 0:
+        conv[0] = _jump_convolution(operator, payoff, values[0], operator.grid.T, american)
+        for k in range(values.shape[0]):
+            conv[k] = _compensate(operator, conv[k], values[k])
+    return conv
 
 
 def _kink_margin_log(payoff: Payoff, zmesh: np.ndarray) -> np.ndarray:
@@ -690,26 +700,19 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
     dt = grid.dt
     a_max = float(np.diag(operator.model.gaussian.a).max())
     margin = _kink_margin_log(payoff, grid.mesh())
-    interior = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[ax] = 0
-        interior[tuple(sl)] = False
-        sl[ax] = -1
-        interior[tuple(sl)] = False
-
     field = np.full((grid.n_time - 1, *grid.shape), np.nan)
     american = solution.kind == "american"
     for k in range(1, grid.n_time):
         tau = grid.T - grid.times[k]
         if tau < terminal_buffer * grid.T:
             continue
-        ext = operator.extend(u[k], _frame(operator, payoff, tau, american)) if operator.lam > 0 else None
+        ext = None if operator.lam == 0 else operator.extend(
+            u[k], _far_field(payoff, operator.model, operator.frame_prices, tau, american))
         gen = operator.generator_action(u[k], extended=ext, include_rate=True)
         pde = -(u[k + 1] - u[k - 1]) / (2.0 * dt) - gen
         res = np.minimum(pde, u[k] - psi) if american else pde
         radius = max(kink_layers * grid.dz.max(), 4.0 * np.sqrt(a_max * tau))
-        mask = interior & (margin >= radius)
+        mask = grid.interior & (margin >= radius)
         if american:
             ex = solution.exercise_set[k]
             edge = ex ^ binary_erosion(ex)
@@ -727,26 +730,20 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
 # --------------------------------------------------------------------------- #
 
 def export_solution_csv(solution: Solution, path) -> None:
-    """Plotting-ready dump: one row per (time level, node)."""
+    """Plotting-ready dump: one row per (time level, node), one formatted
+    block per level."""
     grid = solution.grid
     zmesh = grid.mesh()
-    prices = np.exp(zmesh)
     d = grid.dim
     zcols = [f"z{i+1}" for i in range(d)] if d > 1 else ["z"]
     pcols = [f"price{i+1}" for i in range(d)] if d > 1 else ["price"]
     header = ",".join(["t", *zcols, *pcols, "u", "psi", "exercised", "jump_field"])
-    flat_z = zmesh.reshape(-1, d)
-    flat_p = prices.reshape(-1, d)
+    nodes = np.concatenate([zmesh, np.exp(zmesh)], axis=-1).reshape(-1, 2 * d)
     psi = solution.obstacle.ravel()
+    block = (",".join(["%.10g"] * (2 * d + 3) + ["%d", "%.10g"]) + "\n") * len(nodes)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for k, t in enumerate(grid.times):
-            uk = solution.values[k].ravel()
-            ek = solution.exercise_set[k].ravel()
-            jk = solution.jump_field[k].ravel()
-            for j in range(flat_z.shape[0]):
-                row = [f"{t:.10g}"]
-                row += [f"{v:.10g}" for v in flat_z[j]]
-                row += [f"{v:.10g}" for v in flat_p[j]]
-                row += [f"{uk[j]:.10g}", f"{psi[j]:.10g}", str(int(ek[j])), f"{jk[j]:.10g}"]
-                fh.write(",".join(row) + "\n")
+            cols = np.column_stack([np.full(len(nodes), t), nodes, solution.values[k].ravel(), psi,
+                                    solution.exercise_set[k].ravel(), solution.jump_field[k].ravel()])
+            fh.write(block % tuple(cols.ravel().tolist()))

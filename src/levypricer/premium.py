@@ -16,8 +16,7 @@ from .errors import ModelRejected
 from .model import LevyModel, validate_integrability
 from .monte_carlo import Estimate, MCConfig, premium_sweep
 from .payoffs import Payoff
-from .pide import (Grid, Solution, SolverConfig, assemble, build_grid,
-                   solve_american_penalty, solve_european)
+from .pide import Grid, Solution, SolverConfig, solve_pair
 
 SENSITIVITY_TOLS = (1e-5, 1e-6, 1e-7)
 
@@ -70,13 +69,7 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
         raise ModelRejected(f"integrability failures: {bad}")
 
     if solutions is None:
-        grid = build_grid(model, payoff, spot, T, solver_cfg.n_space, solver_cfg.n_time,
-                          solver_cfg.beta, solver_cfg.trunc_tol, solver_cfg.y_max_tail)
-        operator = assemble(model, grid, solver_cfg.y_max_tail)
-        american = solve_american_penalty(model, payoff, grid, operator,
-                                          penalty=solver_cfg.penalty_ladder,
-                                          exercise_tol=solver_cfg.exercise_tol)
-        european = solve_european(model, payoff, grid, operator)
+        _, _, american, european = solve_pair(model, payoff, spot, T, solver_cfg)
     else:
         american, european = solutions
         if american.kind != "american" or european.kind != "european":

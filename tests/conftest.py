@@ -68,16 +68,10 @@ SOLVE_SECONDS = {}
 def _solve_pair(model, payoff, spot, T, cfg, label=None):
     import time
     t0 = time.perf_counter()
-    grid = lp.build_grid(model, payoff, spot, T, cfg.n_space, cfg.n_time,
-                         cfg.beta, cfg.trunc_tol, cfg.y_max_tail)
-    operator = lp.assemble(model, grid, cfg.y_max_tail)
-    amer = lp.solve_american_penalty(model, payoff, grid, operator,
-                                     penalty=cfg.penalty_ladder,
-                                     exercise_tol=cfg.exercise_tol)
-    eur = lp.solve_european(model, payoff, grid, operator)
+    solves = lp.solve_pair(model, payoff, spot, T, cfg)
     if label:
         SOLVE_SECONDS[label] = time.perf_counter() - t0
-    return grid, operator, amer, eur
+    return solves
 
 
 # acceptance-fixture solves, shared across the whole session

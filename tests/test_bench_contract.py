@@ -1,0 +1,32 @@
+"""The names the benchmark tracer patches must exist where it patches them.
+
+`perfbench/tracing.py` replaces each `TARGETS` entry in the namespace of the
+module where callers look it up (`Tracer.install` reads `owner.__dict__`),
+so a refactor that stops importing a name there breaks the benchmark with a
+KeyError.  This checks every entry without running the benchmark.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _tracing()
+
+
+@pytest.mark.parametrize("module_name,path,span", tracing.TARGETS,
+                         ids=[f"{m}:{p}" for m, p, _ in tracing.TARGETS])
+def test_target_resolves_where_it_is_patched(module_name, path, span):
+    owner, attr = tracing._resolve(module_name, path)
+    assert attr in owner.__dict__, f"{module_name} no longer holds {path!r}"
+    assert callable(owner.__dict__[attr])

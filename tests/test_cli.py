@@ -91,6 +91,18 @@ class TestPrice:
         for counts in diagnostics.values():
             assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
 
+    def test_jump_cfl_guard_is_a_domain_error(self, small_setup, capsys):
+        _, payoff, _, _, out = small_setup
+        model = _write(out.parent, "fast_jumps.json", {
+            "dim": 1, "a": [[0.04]], "rates": {"r": 0.05, "delta": [0.0]},
+            "jumps": {"kind": "merton", "lambda": 30.0, "mean": [0.0], "cov": [[0.01]]},
+        })
+        solver = _write(out.parent, "coarse.json", {"n_space": 101, "n_time": 20, "beta": 2.0})
+        code = main(["price", "--model", model, "--payoff", payoff, "--spot", "100",
+                     "--T", "1.0", "--method", "pide", "--solver-config", solver])
+        assert code == 1
+        assert "n_time >= 31" in capsys.readouterr().err
+
     def test_spot_dimension_mismatch(self, small_setup):
         model, payoff, solver, mc, out = small_setup
         code = main(["price", "--model", model, "--payoff", payoff,

@@ -60,22 +60,15 @@ class TestEvaluate:
 class TestLogTransform:
     def test_min_put(self):
         p = lp.Payoff.min_put(100.0, 2)
-        assert p.log_transform(np.log([90.0, 110.0])) == pytest.approx(10.0, rel=1e-14)
+        assert p.evaluate(np.exp(np.log([90.0, 110.0]))) == pytest.approx(10.0, rel=1e-14)
 
     def test_index_call_at_the_money(self):
         p = lp.Payoff.index_call(100.0, [1.0, 1.0], 2)
-        assert p.log_transform(np.log([50.0, 50.0])) == pytest.approx(0.0, abs=1e-12)
+        assert p.evaluate(np.exp(np.log([50.0, 50.0]))) == pytest.approx(0.0, abs=1e-12)
 
     def test_power_product_direct(self):
         p = lp.Payoff.power_product(1.0, 2.0, 1)
-        assert p.log_transform(np.array([0.5])) == pytest.approx(np.e - 1.0, rel=1e-14)
-
-    def test_consistency_everywhere(self, rng):
-        z = rng.uniform(-3, 3, size=(10_000, 2))
-        for p in catalog_payoffs():
-            a = p.log_transform(z)
-            b = p.evaluate(np.exp(z))
-            assert np.allclose(a, b, rtol=1e-14, atol=1e-300)
+        assert p.evaluate(np.exp(np.array([0.5]))) == pytest.approx(np.e - 1.0, rel=1e-14)
 
 
 class TestGrowthExponent:
@@ -169,11 +162,11 @@ class TestPsiMinus:
         mask = p.tie_mask(np.array([[110.0, 110.0], [110.0, 90.0]]))
         assert mask.tolist() == [True, False]
 
-    def test_psi_field_wrapper(self):
+    def test_min_put_point_and_support(self):
         p = lp.Payoff.min_put(100.0, 2)
-        f = p.psi_field(RATES_FLAT, G2)
-        assert f(np.array([90.0, 110.0])) == pytest.approx(5.0)
-        assert f.region == "psi > 0"
+        assert p.psi_minus(np.array([90.0, 110.0]), RATES_FLAT, G2) == pytest.approx(5.0)
+        # zero off {psi > 0}
+        assert p.psi_minus(np.array([120.0, 130.0]), RATES_FLAT, G2) == 0.0
 
 
 class TestFdCheck:

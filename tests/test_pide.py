@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import levypricer as lp
+from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
 from oracles import bs_put, crr_american_put, merton_put_series
 
@@ -92,7 +93,7 @@ class TestAssemble:
         model = lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), jumps,
                                    lp.Rates(r=0.0, delta=[0.0]))
         grid = lp.build_grid(model, put_1d, [SPOT], 1.0, 101, 20, beta=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(lp.SchemeNotMonotone, match=r"n_time >= 31\b"):
             lp.assemble(model, grid)
 
 
@@ -181,6 +182,40 @@ class TestSolveAmerican:
         # refactorized only on the levels where it moves
         assert all(n >= grid.n_time for n in solves)
         assert all(0 <= f < grid.n_time for f in factorizations)
+
+    def test_pair_shares_step_factor_and_convolutions(self, merton_model, put_1d,
+                                                      monkeypatch):
+        calls = {"splu": 0, "convolve": 0}
+        splu, convolve = pide.splu, pide.DiscreteOperator.convolve
+
+        def counting_splu(*args, **kwargs):
+            calls["splu"] += 1
+            return splu(*args, **kwargs)
+
+        def counting_convolve(self, extended):
+            calls["convolve"] += 1
+            return convolve(self, extended)
+
+        monkeypatch.setattr(pide, "splu", counting_splu)
+        monkeypatch.setattr(pide.DiscreteOperator, "convolve", counting_convolve)
+        cfg = SolverConfig(n_space=201, n_time=50, beta=4.0, trunc_tol=1e-5)
+        grid, op, amer, eur = lp.solve_pair(merton_model, put_1d, [SPOT], 1.0, cfg)
+        # one step factor for both solves; one convolution per level and sweep,
+        # plus level 0 of each stored jump field
+        assert calls["splu"] == 1 + sum(amer.metadata["factorizations"])
+        assert calls["convolve"] == (len(cfg.penalty_ladder) + 1) * grid.n_time + 2
+        calls.update(splu=0, convolve=0)
+        again = lp.solve_european(merton_model, put_1d, grid, op)
+        assert calls == {"splu": 0, "convolve": grid.n_time + 1}
+        assert np.array_equal(again.values, eur.values)
+
+    @pytest.mark.parametrize("solves", ["merton_solves", "minput2d_solves"])
+    def test_stored_jump_field_is_the_operator(self, solves, request):
+        _, op, amer, eur = request.getfixturevalue(solves)
+        for sol in (amer, eur):
+            for k in range(sol.grid.n_time + 1):
+                again = lp.apply_jump_operator(sol, op, k)
+                assert sol.jump_field[k].tobytes() == again.tobytes(), (sol.kind, k)
 
     def test_ladder_must_increase(self, bs_model, put_1d, bs_solves):
         grid, op, _, _ = bs_solves
@@ -362,12 +397,11 @@ class TestTwoDimensional:
         assert grid.axes[1][ci[1]] == pytest.approx(np.log(SPOT), abs=1e-12)
 
     def test_mixed_term_monotonicity_guard(self, min_put_2d):
-        a = [[0.04, 0.05], [0.05, 0.04]]  # |a12| > min(a11, a22)
-        jumps = lp.JumpSpec(0.0)
-        with pytest.raises(ValueError):
-            model = lp.LevyModel.build(lp.GaussianPart(a=a), jumps,
-                                       lp.Rates(r=0.0, delta=[0.0, 0.0]))
-            grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 1.0, 101, 20, beta=2.0)
+        a = [[0.01, 0.02], [0.02, 0.09]]  # positive definite, |a12| > min(a11, a22)
+        model = lp.LevyModel.build(lp.GaussianPart(a=a), lp.JumpSpec(0.0),
+                                   lp.Rates(r=0.0, delta=[0.0, 0.0]))
+        grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 1.0, 101, 20, beta=2.0)
+        with pytest.raises(lp.SchemeNotMonotone, match="correlation"):
             lp.assemble(model, grid)
 
     def test_interpolate_bilinear(self, minput2d_solves):
@@ -393,3 +427,36 @@ def test_export_csv(tmp_path, zero_rate_solves):
     assert header == "t,z,price,u,psi,exercised,jump_field"
     n_rows = len(path.read_text().splitlines()) - 1
     assert n_rows == (amer.grid.n_time + 1) * amer.grid.n_space
+
+def _row_by_row_csv(solution) -> str:
+    """Reference formatter: one f-string list per (level, node)."""
+    grid = solution.grid
+    d = grid.dim
+    flat_z = grid.mesh().reshape(-1, d)
+    flat_p = np.exp(grid.mesh()).reshape(-1, d)
+    zcols = [f"z{i+1}" for i in range(d)] if d > 1 else ["z"]
+    pcols = [f"price{i+1}" for i in range(d)] if d > 1 else ["price"]
+    lines = [",".join(["t", *zcols, *pcols, "u", "psi", "exercised", "jump_field"])]
+    psi = solution.obstacle.ravel()
+    for k, t in enumerate(grid.times):
+        uk, ek = solution.values[k].ravel(), solution.exercise_set[k].ravel()
+        jk = solution.jump_field[k].ravel()
+        for j in range(flat_z.shape[0]):
+            row = [f"{t:.10g}", *(f"{v:.10g}" for v in flat_z[j]),
+                   *(f"{v:.10g}" for v in flat_p[j]),
+                   f"{uk[j]:.10g}", f"{psi[j]:.10g}", str(int(ek[j])), f"{jk[j]:.10g}"]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_export_csv_matches_row_formatter(tmp_path, dim, merton_model, put_1d,
+                                          merton2d_model, min_put_2d):
+    model, payoff = (merton_model, put_1d) if dim == 1 else (merton2d_model, min_put_2d)
+    cfg = SolverConfig(n_space=51, n_time=10, beta=5.0, trunc_tol=1e-5)
+    _, _, amer, eur = lp.solve_pair(model, payoff, [SPOT] * dim, 0.5, cfg)
+    assert amer.exercise_set.any()
+    for sol in (amer, eur):
+        path = tmp_path / f"{sol.kind}.csv"
+        lp.export_solution_csv(sol, path)
+        assert path.read_text() == _row_by_row_csv(sol)
