@@ -4,7 +4,7 @@ value, and the pathwise early-exercise-premium integral."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from .errors import GridCoverageTooSmall, OutOfDomain, TieBreak
 from .model import LevyModel, simulate_log_blocks
 from .payoffs import Payoff
-from .pide import Solution, interp_level
+from .pide import Solution, config_fields, interp_level
 
 log = logging.getLogger(__name__)
 
@@ -39,12 +39,12 @@ class MCConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "MCConfig":
-        known = {f: spec[f] for f in cls.__dataclass_fields__ if f in spec}
-        return cls(**known)
+        return cls(**config_fields(cls, spec))
 
     def to_dict(self) -> dict:
-        return {"n_paths": self.n_paths, "n_steps": self.n_steps,
-                "seed": self.seed, "basis_degree": self.basis_degree}
+        # no n_threads: estimates are bitwise identical across thread counts,
+        # so the run record must not depend on how many threads the host used
+        return {k: v for k, v in asdict(self).items() if k != "n_threads"}
 
 
 def _estimate(samples: np.ndarray, n_paths: int, seed: int) -> Estimate:
@@ -70,10 +70,13 @@ def price_european_mc(model: LevyModel, payoff: Payoff, s: float, x, T: float,
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Total-degree monomials in centered log prices, plus psi itself."""
+    """Total-degree monomials in centered log prices, plus psi itself.
+
+    Monomials come in ascending degree and psi is the last column, so the
+    design of any lower degree is a leading block of columns plus the last.
+    """
 
     degree: int = 3
-    include_payoff: bool = True
 
     def exponents(self, dim: int) -> list:
         exps = []
@@ -85,44 +88,40 @@ class RegressionBasis:
                 exps.append(tuple(e))
         return exps
 
-    def design(self, z: np.ndarray, payoff_vals: np.ndarray, center: np.ndarray,
-               max_degree: int | None = None) -> np.ndarray:
+    def design(self, z: np.ndarray, payoff_vals: np.ndarray, center: np.ndarray) -> np.ndarray:
         zc = z - center
         cols = []
         for e in self.exponents(z.shape[1]):
-            if max_degree is not None and sum(e) > max_degree:
-                continue
             col = np.ones(z.shape[0])
             for i, p in enumerate(e):
                 if p:
                     col = col * zc[:, i] ** p
             cols.append(col)
-        if self.include_payoff:
-            cols.append(payoff_vals)
+        cols.append(payoff_vals)
         return np.column_stack(cols)
 
     def n_columns(self, dim: int, max_degree: int | None = None) -> int:
-        n = sum(1 for e in self.exponents(dim)
-                if max_degree is None or sum(e) <= max_degree)
-        return n + (1 if self.include_payoff else 0)
+        return 1 + sum(1 for e in self.exponents(dim)
+                       if max_degree is None or sum(e) <= max_degree)
 
 
-def _fit_continuation(basis: RegressionBasis, z: np.ndarray, pay: np.ndarray,
-                      target: np.ndarray, center: np.ndarray):
-    """Minimum-norm least-squares fit, shrinking the degree while the ITM set
-    has fewer rows than the basis has columns.
+def _fit_continuation(basis: RegressionBasis, design: np.ndarray, dim: int,
+                      target: np.ndarray):
+    """Minimum-norm least-squares fit on the columns of the highest degree
+    the ITM set can carry: `(cols, coef)`, with the continuation
+    `design[:, cols] @ coef`.
 
     Collinear columns (psi affine on the ITM set, e.g. a constant payoff) are
     fine: the fitted values are the projection onto the column span whatever
     the rank. Returns None when not even degree 0 fits (a single ITM path).
     """
     for degree in range(basis.degree, -1, -1):
-        ncols = basis.n_columns(z.shape[1], degree)
-        if z.shape[0] >= ncols:
-            design = basis.design(z, pay, center, degree)
-            return np.linalg.lstsq(design, target, rcond=None)[0], degree
+        ncols = basis.n_columns(dim, degree)
+        if design.shape[0] >= ncols:
+            cols = [*range(ncols - 1), -1]
+            return cols, np.linalg.lstsq(design[:, cols], target, rcond=None)[0]
         log.warning("in-the-money set (%d) smaller than basis (%d); shrinking",
-                    z.shape[0], ncols)
+                    design.shape[0], ncols)
     return None
 
 
@@ -142,53 +141,36 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
     center = np.log(np.atleast_1d(x))
     dt = (T - s) / n_steps
     disc = np.exp(-model.rates.r * dt)
+    coefs: dict[int, tuple] = {}
 
-    def gather(stream: int) -> np.ndarray:
+    def backward(stream: int, fit: bool) -> np.ndarray:
+        """Discounted cash flows of one path set under the policy in `coefs`,
+        fitting it date by date first when `fit` is set."""
         logs = np.empty((n_paths, n_steps + 1, model.dim))
         for lo, block in simulate_log_blocks(model, x, s, T, n_steps, n_paths, seed,
                                              stream=stream, n_threads=n_threads):
             logs[lo:lo + block.shape[0]] = block
-        return logs
+        cash = payoff.evaluate(np.exp(logs[:, -1, :]))
+        for k in range(n_steps - 1, 0, -1):
+            zk = logs[:, k, :]
+            pay = payoff.evaluate(np.exp(zk))
+            cash = cash * disc
+            itm = pay > 0
+            if not np.any(itm) or not (fit or k in coefs):
+                continue
+            design = basis.design(zk[itm], pay[itm], center)
+            if fit:
+                found = _fit_continuation(basis, design, model.dim, cash[itm])
+                if found is None:
+                    continue
+                coefs[k] = found
+            cols, coef = coefs[k]
+            ex = pay[itm] >= design[:, cols] @ coef
+            cash[itm] = np.where(ex, pay[itm], cash[itm])
+        return cash * disc
 
-    reg_logs = gather(stream=0)
-
-    # pass 1: fit one continuation function per exercise date on ITM paths
-    coefs: dict[int, tuple] = {}
-    cash = payoff.evaluate(np.exp(reg_logs[:, -1, :]))
-    for k in range(n_steps - 1, 0, -1):
-        zk = reg_logs[:, k, :]
-        pay = payoff.evaluate(np.exp(zk))
-        cash = cash * disc
-        itm = pay > 0
-        if not np.any(itm):
-            continue
-        fit = _fit_continuation(basis, zk[itm], pay[itm], cash[itm], center)
-        if fit is None:
-            continue
-        coefs[k] = coef, degree = fit
-        cont = basis.design(zk[itm], pay[itm], center, degree) @ coef
-        ex = pay[itm] >= cont
-        cash[itm] = np.where(ex, pay[itm], cash[itm])
-    del reg_logs
-
-    # pass 2: price the fitted policy on independent paths
-    price_logs = gather(stream=1)
-    cash = payoff.evaluate(np.exp(price_logs[:, -1, :]))
-    for k in range(n_steps - 1, 0, -1):
-        zk = price_logs[:, k, :]
-        pay = payoff.evaluate(np.exp(zk))
-        cash = cash * disc
-        if k not in coefs:
-            continue
-        itm = pay > 0
-        if not np.any(itm):
-            continue
-        coef, degree = coefs[k]
-        cont = basis.design(zk[itm], pay[itm], center, degree) @ coef
-        ex = pay[itm] >= cont
-        cash[itm] = np.where(ex, pay[itm], cash[itm])
-    samples = cash * disc
-    return _estimate(samples, n_paths, seed)
+    backward(stream=0, fit=True)    # its paths are freed before pass 2 simulates
+    return _estimate(backward(stream=1, fit=False), n_paths, seed)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ level's active set and factor and refactorizes only when the set moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,17 +47,26 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SolverConfig":
-        known = {f: spec[f] for f in cls.__dataclass_fields__ if f in spec}
+        known = config_fields(cls, spec)
         if "penalty_ladder" in known:
             known["penalty_ladder"] = tuple(float(v) for v in known["penalty_ladder"])
         return cls(**known)
 
     def to_dict(self) -> dict:
-        return {
-            "n_space": self.n_space, "n_time": self.n_time, "beta": self.beta,
-            "penalty_ladder": list(self.penalty_ladder), "trunc_tol": self.trunc_tol,
-            "y_max_tail": self.y_max_tail, "exercise_tol": self.exercise_tol,
-        }
+        return {**asdict(self), "penalty_ladder": list(self.penalty_ladder)}
+
+
+def config_fields(cls, spec: dict) -> dict:
+    """`spec` as keyword arguments of the config dataclass `cls`.
+
+    An unknown key raises instead of being dropped: a misspelled knob would
+    otherwise run silently with its default.
+    """
+    unknown = sorted(set(spec) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}; "
+                         f"known fields: {', '.join(cls.__dataclass_fields__)}")
+    return dict(spec)
 
 
 @dataclass(frozen=True)
@@ -136,8 +145,6 @@ def build_grid(model: LevyModel, payoff: Payoff, spot, T: float, n_space: int,
         raise BetaTooSmall(f"beta = {beta} must exceed the growth exponent p = {p}")
     if n_space < 51 or n_time < 10:
         raise ValueError("need n_space >= 51 and n_time >= 10")
-    if n_space % 2 == 0:
-        raise ValueError("n_space must be odd so the spot is a node")
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape[0] != model.dim:
         raise ValueError("spot dimension must match the model")
@@ -370,18 +377,13 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = 1e-10) -> Discret
 # Far-field boundary values
 # --------------------------------------------------------------------------- #
 
-def far_field_values(payoff: Payoff, model: LevyModel, zpts: np.ndarray, tau: float,
+def far_field_values(payoff: Payoff, model: LevyModel, prices: np.ndarray, tau: float,
                      american: bool) -> np.ndarray:
     """Discounted payoff of the forward prices; exact where psi is locally affine.
 
     American values are floored at the obstacle so deep-in-the-money
     boundaries carry the immediate-exercise value.
     """
-    return _far_field(payoff, model, np.exp(zpts), tau, american)
-
-
-def _far_field(payoff: Payoff, model: LevyModel, prices: np.ndarray, tau: float,
-               american: bool) -> np.ndarray:
     fwd = prices * np.exp((model.rates.r - model.rates.delta) * tau)
     vals = np.exp(-model.rates.r * tau) * payoff.evaluate(fwd)
     if american:
@@ -496,8 +498,8 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
         if operator.lam > 0:
             conv[k + 1] = _jump_convolution(operator, payoff, values[k + 1], tau[k + 1], american)
             rhs = rhs + conv[k + 1].ravel()
-        rhs[operator.boundary_mask] = _far_field(payoff, operator.model, operator.boundary_prices,
-                                                 tau[k], american) / disc
+        rhs[operator.boundary_mask] = far_field_values(
+            payoff, operator.model, operator.boundary_prices, tau[k], american) / disc
         for _ in range(_NEWTON_CAP):
             try:
                 if not np.array_equal(active, lu_active):
@@ -609,7 +611,7 @@ def _jump_convolution(operator: DiscreteOperator, payoff: Payoff, core: np.ndarr
                       tau: float, american: bool) -> np.ndarray:
     """K * u on the core lattice, with the far-field values of time-to-go tau
     beyond it."""
-    frame = _far_field(payoff, operator.model, operator.frame_prices, tau, american)
+    frame = far_field_values(payoff, operator.model, operator.frame_prices, tau, american)
     return operator.convolve(operator.extend(core, frame))
 
 
@@ -707,7 +709,7 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
         if tau < terminal_buffer * grid.T:
             continue
         ext = None if operator.lam == 0 else operator.extend(
-            u[k], _far_field(payoff, operator.model, operator.frame_prices, tau, american))
+            u[k], far_field_values(payoff, operator.model, operator.frame_prices, tau, american))
         gen = operator.generator_action(u[k], extended=ext, include_rate=True)
         pde = -(u[k + 1] - u[k - 1]) / (2.0 * dt) - gen
         res = np.minimum(pde, u[k] - psi) if american else pde

@@ -30,3 +30,22 @@ def test_target_resolves_where_it_is_patched(module_name, path, span):
     owner, attr = tracing._resolve(module_name, path)
     assert attr in owner.__dict__, f"{module_name} no longer holds {path!r}"
     assert callable(owner.__dict__[attr])
+
+
+def test_monte_carlo_simulates_through_the_patched_name(monkeypatch, bs_model, put_1d):
+    # the `model.simulate_log_blocks` layer covers LSMC and European MC only
+    # while they look the sampler up in `levypricer.monte_carlo`
+    from levypricer import monte_carlo
+
+    streams = []
+    simulate = monte_carlo.simulate_log_blocks
+
+    def counting(*args, stream=0, **kwargs):
+        streams.append(stream)
+        return simulate(*args, stream=stream, **kwargs)
+
+    monkeypatch.setattr(monte_carlo, "simulate_log_blocks", counting)
+    monte_carlo.price_american_ls(bs_model, put_1d, 0.0, [100.0], 1.0, 10, 200, seed=1)
+    assert streams == [0, 1]
+    monte_carlo.price_european_mc(bs_model, put_1d, 0.0, [100.0], 1.0, 200, seed=1)
+    assert streams == [0, 1, 0]

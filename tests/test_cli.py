@@ -103,6 +103,14 @@ class TestPrice:
         assert code == 1
         assert "n_time >= 31" in capsys.readouterr().err
 
+    def test_misspelled_mc_key_is_a_usage_error(self, small_setup, capsys):
+        model, payoff, solver, _, out = small_setup
+        mc = _write(out.parent, "typo.json", {"n_path": 2000, "n_steps": 10})
+        code = main(["price", "--model", model, "--payoff", payoff, "--spot", "100",
+                     "--T", "1.0", "--method", "mc", "--mc-config", mc])
+        assert code == 2
+        assert "n_path" in capsys.readouterr().err
+
     def test_spot_dimension_mismatch(self, small_setup):
         model, payoff, solver, mc, out = small_setup
         code = main(["price", "--model", model, "--payoff", payoff,

@@ -95,6 +95,22 @@ class TestLongstaffSchwartz:
         # deep ITM American put is worth at least intrinsic
         assert est.mean >= 100.0 - 3 * est.stderr - 1.0
 
+    def test_one_design_per_date_and_pass(self, bs_model, put_1d, monkeypatch):
+        # at the money every date has hundreds of ITM paths, more than the
+        # 5 columns, so each pass builds each date's design exactly once
+        builds = []
+        design = RegressionBasis.design
+
+        def counting(self, *args):
+            builds.append(args)
+            return design(self, *args)
+
+        monkeypatch.setattr(RegressionBasis, "design", counting)
+        n_steps = 12
+        price_american_ls(bs_model, put_1d, 0.0, [SPOT], 1.0, n_steps, 2000,
+                          RegressionBasis(degree=3), seed=5)
+        assert len(builds) == 2 * (n_steps - 1)
+
     def test_basis_design_columns(self):
         basis = RegressionBasis(degree=3)
         assert basis.n_columns(1) == 5   # 1, z, z^2, z^3, psi
@@ -105,27 +121,28 @@ class TestLongstaffSchwartz:
 
 
 class TestFitContinuation:
+    CENTER = np.array([4.6])
+
+    def _fit(self, z, pay, target):
+        basis = RegressionBasis(degree=3)
+        design = basis.design(z, pay, self.CENTER)
+        return design, _fit_continuation(basis, design, 1, target)
+
     def test_collinear_payoff_column_fits_at_full_degree(self):
         z = np.linspace(4.0, 5.0, 50)[:, None]
-        pay = np.full(50, 5.0)
         target = np.full(50, 4.75)
-        coef, degree = _fit_continuation(RegressionBasis(degree=3), z, pay, target,
-                                         np.array([4.6]))
-        assert degree == 3
-        fitted = RegressionBasis(degree=3).design(z, pay, np.array([4.6]), degree) @ coef
-        np.testing.assert_allclose(fitted, target, rtol=0, atol=1e-12)
+        design, (cols, coef) = self._fit(z, np.full(50, 5.0), target)
+        assert cols == [0, 1, 2, 3, -1]
+        np.testing.assert_allclose(design[:, cols] @ coef, target, rtol=0, atol=1e-12)
 
     def test_thin_set_shrinks_degree(self):
         z = np.array([[4.5], [4.6], [4.7]])
-        _, degree = _fit_continuation(RegressionBasis(degree=3), z,
-                                      np.array([3.0, 2.0, 1.0]),
-                                      np.array([2.5, 2.0, 1.5]), np.array([4.6]))
-        assert degree == 1
+        _, (cols, coef) = self._fit(z, np.array([3.0, 2.0, 1.0]), np.array([2.5, 2.0, 1.5]))
+        assert cols == [0, 1, -1] and coef.shape == (3,)
 
     def test_single_row_gives_no_fit(self):
-        assert _fit_continuation(RegressionBasis(degree=3), np.array([[4.5]]),
-                                 np.array([3.0]), np.array([2.5]),
-                                 np.array([4.6])) is None
+        _, fit = self._fit(np.array([[4.5]]), np.array([3.0]), np.array([2.5]))
+        assert fit is None
 
 
 class TestPremiumEstimator:
@@ -221,3 +238,10 @@ def test_mc_config_roundtrip():
     again = MCConfig.from_dict(cfg.to_dict())
     assert (again.n_paths, again.n_steps, again.seed, again.basis_degree) == \
         (5000, 25, 99, 2)
+
+
+def test_mc_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"n_path\b") as err:
+        MCConfig.from_dict({"n_path": 2000})
+    assert "n_threads" in str(err.value).split("known fields:")[1]
+    assert MCConfig.from_dict({"n_threads": 2}).n_threads == 2

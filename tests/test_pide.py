@@ -133,7 +133,7 @@ class TestSolveEuropean:
         zmesh = grid.mesh()
         for k in (0, grid.n_time // 2):
             tau = grid.T - grid.times[k]
-            lower = far_field_values(put_1d, bs_model, zmesh, tau, american=False)
+            lower = far_field_values(put_1d, bs_model, np.exp(zmesh), tau, american=False)
             assert (eur.values[k] - lower).min() > -5e-3
 
 
@@ -340,7 +340,7 @@ class TestJumpOperator:
             uq[inside] = np.interp(zq[inside], z, u0)
             if np.any(~inside):
                 ff = far_field_values(put_1d, merton_model,
-                                      zq[~inside][:, None], tau, american=True)
+                                      np.exp(zq[~inside][:, None]), tau, american=True)
                 uq[~inside] = ff
             grad = (np.interp(z[j] + grid.dz[0], z, u0)
                     - np.interp(z[j] - grid.dz[0], z, u0)) / (2 * grid.dz[0])
@@ -417,6 +417,13 @@ def test_solver_config_roundtrip():
                        y_max_tail=1e-9, exercise_tol=1e-7)
     again = SolverConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_solver_config_rejects_unknown_keys():
+    # a misspelled ladder must not fall back to the default one
+    with pytest.raises(ValueError, match="penalty_laddder") as err:
+        SolverConfig.from_dict({"penalty_laddder": [10, 5]})
+    assert "penalty_ladder" in str(err.value).split("known fields:")[1]
 
 
 def test_export_csv(tmp_path, zero_rate_solves):
