@@ -102,7 +102,7 @@ def cmd_price(args) -> int:
         summary["pide"] = {"european": eur.value_at_spot(), "american": amer.value_at_spot()}
         # counts only: the summary must not depend on how fast the host ran
         summary["diagnostics"] = {key: amer.metadata[key]
-                                  for key in ("newton_solves", "factorizations")}
+                                  for key in ("newton_solves", "factorizations", "update_columns")}
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
             export_solution_csv(amer, Path(args.out) / "american_solution.csv")

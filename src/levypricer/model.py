@@ -146,21 +146,6 @@ class KouDoubleExponential:
     def components_independent(self) -> bool:
         return True
 
-    def _density_1d(self, y: np.ndarray, i: int) -> np.ndarray:
-        ep, em, p = self.eta_plus[i], self.eta_minus[i], self.p_up[i]
-        up = p * ep * np.exp(-ep * np.clip(y, 0.0, None))
-        dn = (1.0 - p) * em * np.exp(em * np.clip(y, None, 0.0))
-        out = np.where(y > 0, up, dn)
-        # density jumps at 0; the midpoint rule gets the average of the limits
-        return np.where(y == 0, 0.5 * (p * ep + (1.0 - p) * em), out)
-
-    def density(self, pts: np.ndarray) -> np.ndarray:
-        pts = pts.reshape(-1, self.dim)
-        out = np.ones(pts.shape[0])
-        for i in range(self.dim):
-            out *= self._density_1d(pts[:, i], i)
-        return out
-
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         n = counts.shape[0]
         total = int(counts.sum())

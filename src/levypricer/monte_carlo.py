@@ -49,7 +49,7 @@ class MCConfig:
 
 def _estimate(samples: np.ndarray, n_paths: int, seed: int) -> Estimate:
     std = float(samples.std(ddof=1)) if samples.shape[0] > 1 else 0.0
-    return Estimate(mean=float(samples.mean()), stderr=std / np.sqrt(samples.shape[0]),
+    return Estimate(mean=float(samples.mean()), stderr=float(std / np.sqrt(samples.shape[0])),
                     n_paths=n_paths, seed=seed)
 
 

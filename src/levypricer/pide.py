@@ -9,7 +9,8 @@ values, with semismooth-Newton inner iterations.  European and American
 solves run one backward sweep (the European one without obstacle) and keep
 its jump convolutions for the stored jump field.  The step matrix is
 factored once per operator; each Newton level starts from the previous
-level's active set and factor and refactorizes only when the set moves.
+level's active set.  A moved set is solved by refactorizing (1D) or by a
+low-rank update of the last penalized factor (2D).
 `solve_pair` is the pipeline: grid, operator, American and European solves.
 """
 
@@ -465,18 +466,29 @@ def interpolate(solution: Solution, t: float, x) -> float:
 # Time stepping
 # --------------------------------------------------------------------------- #
 
+def _update_budget(grid: Grid) -> int:
+    """Update columns a penalized factor may carry: one grid line in 2D; none
+    in 1D, where a tridiagonal refactorization costs less than bookkeeping."""
+    return grid.n_space * (grid.dim - 1)
+
+
 def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
            n_pen: float | None = None):
     """One backward IMEX sweep: (values, source, convolutions, Newton solves,
-    factorizations).
+    factorizations, update columns).
 
     Each step solves the implicit system against the explicit jump
     convolution K * u of the level above, which is kept per level.  With
     n_pen None there is no obstacle and each step is one solve with the
     operator's step factor.  Otherwise each level starts from the previous
-    level's converged active set and its factor.  It still stops only when
-    the set it solved with is reproduced, and the penalized system has one
-    solution, so the start saves work without changing the answer.
+    level's converged active set.  It still stops only when the set it
+    solved with is reproduced, and the penalized system has one solution,
+    so the start saves work without changing the answer.  Only interior
+    nodes with psi > 0 can be active: v ~ +-1e-17 at psi = 0 is round-off.
+    A set A is solved with the factor of a base set B and a Woodbury
+    correction on D = A ^ B (Hager 1989): v = y - W z, y = M_B^-1 b,
+    W = M_B^-1 U_D, (diag(s / n) + W_D) z = y_D, s = +1 entering, -1 leaving.
+    W's columns are cached per base; past `_update_budget` A is refactorized.
     """
     grid = operator.grid
     dt = grid.dt
@@ -489,10 +501,13 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
     psi_flat = psi.ravel()
     disc = np.exp(-operator.model.rates.r * dt)
     psi_step = psi_flat / disc  # obstacle in pre-discount units
-    interior = grid.interior.ravel()
-    active = np.zeros_like(interior)
-    lu, lu_active = None, active  # no factor of its own for the empty set
-    solves = factorizations = 0
+    candidates = grid.interior.ravel() & (psi_flat > 0)
+    active = np.zeros_like(candidates)
+    lu, base = operator.step_lu, active  # factor of step_matrix + n_pen diag(base)
+    budget = _update_budget(grid) if american else 0
+    block = np.empty((active.size, budget), order="F")  # M_B^-1 e_j, cached nodes j
+    slot = np.full(active.size, -1)  # column of node j in `block`, -1 if not cached
+    cached = solves = factorizations = columns = 0
     for k in range(grid.n_time - 1, -1, -1):
         rhs = values[k + 1].ravel() / dt
         if operator.lam > 0:
@@ -502,19 +517,33 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
             payoff, operator.model, operator.boundary_prices, tau[k], american) / disc
         for _ in range(_NEWTON_CAP):
             try:
-                if not np.array_equal(active, lu_active):
-                    lu = None  # release the stale factor before building the next
-                    if active.any():
-                        lu = splu((operator.step_matrix
-                                   + sp.diags(n_pen * active.astype(float))).tocsc())
-                        factorizations += 1
-                    lu_active = active
-                v = operator.step_lu.solve(rhs) if lu is None \
+                changed = None
+                if not np.array_equal(active, base):
+                    if budget and active.any():
+                        changed = np.flatnonzero(active ^ base)
+                        new = changed[slot[changed] < 0]
+                    if changed is None or cached + new.size > budget:
+                        lu = changed = None  # release the stale factor before building the next
+                        lu = operator.step_lu if not active.any() else splu(
+                            (operator.step_matrix + sp.diags(n_pen * active.astype(float))).tocsc())
+                        factorizations += bool(active.any())
+                        slot[slot >= 0], cached, base = -1, 0, active
+                    elif new.size:  # one multi-RHS solve for the nodes not cached yet
+                        end = cached + new.size
+                        block[:, cached:end] = lu.solve(sp.identity(active.size, format="csc")[:, new].toarray())
+                        slot[new], cached, columns = np.arange(cached, end), end, columns + new.size
+                v = operator.step_lu.solve(rhs) if not active.any() \
                     else lu.solve(rhs + n_pen * active * psi_step)
+                if changed is not None:  # capacitance system on the changed nodes
+                    z = np.zeros(cached)
+                    z[slot[changed]] = np.linalg.solve(
+                        np.diag(np.where(active[changed], 1.0, -1.0) / n_pen)
+                        + block[changed[:, None], slot[changed]], v[changed])
+                    v -= block[:, :cached] @ z
             except RuntimeError as exc:  # pragma: no cover
                 raise LinearSolveFailure(str(exc)) from exc
             solves += 1
-            reached = interior & (v < psi_step) if american else active
+            reached = candidates & (v < psi_step) if american else active
             if np.array_equal(reached, active):
                 break  # v solves the system for the set it was solved with
             active = reached
@@ -527,14 +556,14 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
             # below the obstacle; clip so the stored field honours u >= psi
             u = np.maximum(u, psi_flat)
         values[k] = u.reshape(grid.shape)
-    return values, source, conv, solves, factorizations
+    return values, source, conv, solves, factorizations, columns
 
 
 def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
                    operator: DiscreteOperator) -> Solution:
     """Backward IMEX sweep for the Cauchy problem (no obstacle)."""
     psi = payoff.evaluate(np.exp(grid.mesh()))
-    values, _, conv, _, _ = _sweep(operator, payoff, psi)
+    values, _, conv, *_ = _sweep(operator, payoff, psi)
     return Solution(grid=grid, kind="european", payoff=payoff, values=values,
                     obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
                     jump_field=_jump_field(operator, payoff, values, conv, american=False),
@@ -551,20 +580,20 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     approximation from below); the returned Solution uses the largest
     penalty.  The realized penalty source n (u - psi)^- is stored per level
     as the discrete surrogate of the reflection-measure density.  Metadata
-    counts, per rung, the Newton linear solves and the penalized-matrix
-    factorizations; the step matrix is factored once per operator on top of
-    those.
+    counts, per rung, the Newton linear solves, the penalized-matrix
+    factorizations and the low-rank update columns solved against them; the
+    step matrix is factored once per operator on top of those.
     """
     ladder = tuple(float(v) for v in penalty)
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("penalty ladder must be strictly increasing")
     psi = payoff.evaluate(np.exp(grid.mesh()))
     prev = None
-    changes, solves, factorizations = [], [], []
+    changes, solves, factorizations, columns = [], [], [], []
     for n_pen in ladder:
-        values, source, conv, n_solves, n_factors = _sweep(operator, payoff, psi, n_pen)
-        solves.append(n_solves)
-        factorizations.append(n_factors)
+        values, source, conv, *counts = _sweep(operator, payoff, psi, n_pen)
+        for total, count in zip((solves, factorizations, columns), counts):
+            total.append(count)
         if prev is not None:
             drop = float((prev - values).max())
             if drop > _OBSTACLE_SLACK:
@@ -584,6 +613,7 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     exercise[-1] = psi > 0  # terminal layer: u(T) = psi exactly
     meta = {"penalty_ladder": list(ladder), "ladder_relative_changes": changes,
             "newton_solves": solves, "factorizations": factorizations,
+            "update_columns": columns,
             "stencil_mass_defect": operator.raw_mass_defect}
     return Solution(grid=grid, kind="american", payoff=payoff, values=prev,
                     obstacle=psi, exercise_set=exercise,

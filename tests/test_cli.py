@@ -87,7 +87,7 @@ class TestPrice:
         summary = json.loads(capsys.readouterr().out)
         assert "pide" in summary and "mc" not in summary
         diagnostics = summary["diagnostics"]
-        assert set(diagnostics) == {"newton_solves", "factorizations"}
+        assert set(diagnostics) == {"newton_solves", "factorizations", "update_columns"}
         for counts in diagnostics.values():
             assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
 

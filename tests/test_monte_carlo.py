@@ -34,6 +34,12 @@ class TestEuropean:
         assert est.n_paths == 5000 and est.seed == 4
         assert np.isfinite(est.mean) and est.stderr >= 0
 
+    def test_estimate_fields_are_python_floats(self, bs_model, put_1d):
+        for est in (price_european_mc(bs_model, put_1d, 0.0, [SPOT], 1.0, 2000, seed=4),
+                    price_american_ls(bs_model, put_1d, 0.0, [SPOT], 1.0, 10, 2000,
+                                      RegressionBasis(), seed=4)):
+            assert type(est.mean) is float and type(est.stderr) is float
+
 
 class TestLongstaffSchwartz:
     def test_binomial_oracle(self, bs_model, put_1d):

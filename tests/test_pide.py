@@ -209,6 +209,75 @@ class TestSolveAmerican:
         assert calls == {"splu": 0, "convolve": grid.n_time + 1}
         assert np.array_equal(again.values, eur.values)
 
+    def test_one_dimensional_solves_take_no_updates(self, bs_solves, merton_solves,
+                                                    kou_solves):
+        for _, _, amer, _ in (bs_solves, merton_solves, kou_solves):
+            assert amer.metadata["update_columns"] == [0, 0, 0]
+
+    @pytest.mark.parametrize("kind, ladder", [
+        ("min_put", (1e2, 1e3, 1e4)),
+        # the shipped ladder trips the monotonicity check on this max-call
+        # with or without updates, so one rung
+        ("max_call", (1e4,)),
+    ])
+    def test_low_rank_updates_match_refactorization(self, kind, ladder, merton2d_model,
+                                                    monkeypatch):
+        payoff = getattr(lp.Payoff, kind)(100.0, 2)
+        grid = lp.build_grid(merton2d_model, payoff, [SPOT, SPOT], 0.5, 61, 10, beta=5.0,
+                             trunc_tol=1e-5)
+        op = lp.assemble(merton2d_model, grid)
+        updated = lp.solve_american_penalty(merton2d_model, payoff, grid, op, penalty=ladder)
+        monkeypatch.setattr(pide, "_update_budget", lambda grid: 0)  # refactor on every move
+        direct = lp.solve_american_penalty(merton2d_model, payoff, grid, op, penalty=ladder)
+        scale = np.abs(direct.values).max()
+        assert np.abs(updated.values - direct.values).max() <= 1e-9 * scale
+        assert np.array_equal(updated.exercise_set, direct.exercise_set)
+        assert sum(updated.metadata["factorizations"]) < sum(direct.metadata["factorizations"])
+        assert sum(updated.metadata["update_columns"]) > 0
+        assert direct.metadata["update_columns"] == [0] * len(ladder)
+
+    def test_benchmark_inputs_factorize_at_most_twice_per_rung(self, merton2d_model,
+                                                               min_put_2d, monkeypatch):
+        # merton2d min-put 61^2 x 20: refactorizing on every move of the
+        # active set takes 44 penalized factorizations, low-rank updates 6
+        calls, splu = [], pide.splu
+        monkeypatch.setattr(pide, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+        cfg = SolverConfig(n_space=61, n_time=20, beta=5.0, trunc_tol=1e-5)
+        _, _, amer, _ = lp.solve_pair(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, cfg)
+        assert sum(amer.metadata["factorizations"]) <= 6
+        assert len(calls) == 1 + sum(amer.metadata["factorizations"])
+
+    def test_active_sets_hold_no_zero_obstacle_node(self, merton2d_model, min_put_2d,
+                                                    monkeypatch):
+        # every node of a set the sweep solves with is in a factorized base
+        # or has an update column; psi = 0 nodes are round-off, never active
+        factorized, updated, splu = [], [], pide.splu
+
+        class Recorder:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                if b.ndim == 2:
+                    updated.append(np.flatnonzero(np.abs(b).sum(axis=1)))
+                return self.lu.solve(b)
+
+        def recording_splu(matrix):
+            factorized.append(matrix)
+            return Recorder(splu(matrix))
+
+        monkeypatch.setattr(pide, "splu", recording_splu)
+        grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 61, 20, beta=5.0,
+                             trunc_tol=1e-5)
+        op = lp.assemble(merton2d_model, grid)
+        amer = lp.solve_american_penalty(merton2d_model, min_put_2d, grid, op)
+        psi = amer.obstacle.ravel()
+        step = op.step_matrix.diagonal()
+        sets = [np.flatnonzero(m.diagonal() != step) for m in factorized] + updated
+        assert all(psi[s].min() > 0 for s in sets if s.size)
+        assert len(factorized) == 1 + sum(amer.metadata["factorizations"])
+        assert sum(s.size for s in updated) == sum(amer.metadata["update_columns"]) > 0
+
     @pytest.mark.parametrize("solves", ["merton_solves", "minput2d_solves"])
     def test_stored_jump_field_is_the_operator(self, solves, request):
         _, op, amer, eur = request.getfixturevalue(solves)
