@@ -9,9 +9,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import GridCoverageTooSmall, OutOfDomain, TieBreak
+from .errors import GridCoverageTooSmall, OutOfDomain
 from .model import LevyModel, simulate_log_blocks
-from .payoffs import Payoff
+from .payoffs import Payoff, _across
 from .pide import Solution, config_fields, interp_level
 
 log = logging.getLogger(__name__)
@@ -114,15 +114,18 @@ def _fit_continuation(basis: RegressionBasis, design: np.ndarray, dim: int,
     Collinear columns (psi affine on the ITM set, e.g. a constant payoff) are
     fine: the fitted values are the projection onto the column span whatever
     the rank. Returns None when not even degree 0 fits (a single ITM path).
+    A shrunk fit logs one warning, naming the degree it fell back to.
     """
-    for degree in range(basis.degree, -1, -1):
-        ncols = basis.n_columns(dim, degree)
-        if design.shape[0] >= ncols:
-            cols = [*range(ncols - 1), -1]
-            return cols, np.linalg.lstsq(design[:, cols], target, rcond=None)[0]
-        log.warning("in-the-money set (%d) smaller than basis (%d); shrinking",
-                    design.shape[0], ncols)
-    return None
+    n_itm, full = design.shape[0], basis.n_columns(dim)
+    degree = next((d for d in range(basis.degree, -1, -1)
+                   if n_itm >= basis.n_columns(dim, d)), None)
+    if degree != basis.degree:
+        log.warning("in-the-money set (%d) smaller than basis (%d); shrinking %s", n_itm,
+                    full, "leaves no fit" if degree is None else f"to degree {degree}")
+    if degree is None:
+        return None
+    cols = [*range(basis.n_columns(dim, degree) - 1), -1]
+    return cols, np.linalg.lstsq(design[:, cols], target, rcond=None)[0]
 
 
 def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
@@ -178,7 +181,11 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
 # --------------------------------------------------------------------------- #
 
 def _untie(payoff: Payoff, prices: np.ndarray) -> np.ndarray:
-    """Nudge exact tie points off the tie set (they carry zero measure)."""
+    """Nudge exact tie points off the tie set (they carry zero measure).
+
+    Column j is scaled by 1 + j 1e-12, far above one ulp, so tied columns
+    come out distinct and `Payoff.psi_minus` never sees a tie.
+    """
     ties = payoff.tie_mask(prices)
     if not np.any(ties):
         return prices
@@ -197,6 +204,8 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
     contributing; sampled integrand uses the solver's exercise indicator,
     closed-form Psi^- and the interpolated jump field.  Paths start at s = 0
     only: step k is read from PIDE level k and discounted by grid.times[k].
+    The bands nest in the tolerance, so u is interpolated only where psi > 0
+    and Psi^-, the jump field and the payload only inside the widest band.
     """
     if s != 0.0:
         raise OutOfDomain(f"premium integral starts at s = 0 only (got s = {s:g}); the model "
@@ -206,7 +215,9 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
         raise ValueError("premium integral must use the solution's maturity")
     n_steps = grid.n_time
     dt = grid.dt
+    times = grid.times
     r = model.rates.r
+    tols = sorted(set(exercise_tols), reverse=True)  # bands nest: the first is the widest
     integrals = {tol: np.empty(n_paths) for tol in exercise_tols}
     exited_total = 0
     for lo, block in simulate_log_blocks(model, np.asarray(x, dtype=float), s, T,
@@ -216,24 +227,26 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
         inside = np.ones(nb, dtype=bool)
         for k in range(n_steps):
             zk = block[:, k, :]
-            inside &= np.all((zk >= grid.z_min) & (zk <= grid.z_max), axis=-1)
-            if not inside.any():
+            inside &= _across(np.logical_and, (zk >= grid.z_min) & (zk <= grid.z_max))
+            rows = np.flatnonzero(inside)
+            if not rows.size:
                 break
-            zin = zk[inside]
+            zin = zk[rows]
             prices = _untie(payoff, np.exp(zin))
             psi = payoff.evaluate(prices)
-            try:
-                psim = payoff.psi_minus(prices, model.rates, model.gaussian)
-            except TieBreak:
-                prices = prices * (1.0 + 1e-10)
-                psim = payoff.psi_minus(prices, model.rates, model.gaussian)
-            u = interp_level(solution.values, grid, k, zin)
-            jf = interp_level(solution.jump_field, grid, k, zin)
-            disc = np.exp(-r * grid.times[k])
-            payload = disc * (psim > 0) * (psim - jf) * dt
-            for tol in exercise_tols:
-                in_band = u - psi <= tol * (1.0 + psi)
-                acc[tol][inside] += np.where(in_band, payload, 0.0)
+            # only rows with psi > 0 inside the widest band carry a nonzero
+            # payload; every other row would add +0.0
+            pos = np.flatnonzero(psi > 0)
+            gap = interp_level(solution.values, grid, k, zin[pos]) - psi[pos]
+            scale = 1.0 + psi[pos]
+            band = gap <= tols[0] * scale
+            sel, gap, scale = pos[band], gap[band], scale[band]
+            psim = payoff.psi_minus(prices[sel], model.rates, model.gaussian)
+            jf = interp_level(solution.jump_field, grid, k, zin[sel])
+            payload = np.exp(-r * times[k]) * (psim > 0) * (psim - jf) * dt
+            for tol in tols:
+                in_band = gap <= tol * scale
+                acc[tol][rows[sel[in_band]]] += payload[in_band]
         exited_total += int(nb - inside.sum())
         for tol in exercise_tols:
             integrals[tol][lo:lo + nb] = acc[tol]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import levypricer as lp
-from levypricer.monte_carlo import (MCConfig, RegressionBasis, _fit_continuation,
-                                    estimate_premium_mc, premium_sweep,
+from levypricer.model import simulate_log_blocks
+from levypricer.monte_carlo import (MCConfig, RegressionBasis, _estimate, _fit_continuation,
+                                    _untie, estimate_premium_mc, premium_sweep,
                                     price_american_ls, price_european_mc)
-from levypricer.pide import Grid
+from levypricer.pide import Grid, SolverConfig, interp_level
 from oracles import bs_put, crr_american_put
 
 SPOT = 100.0
@@ -251,3 +252,98 @@ def test_mc_config_rejects_unknown_keys():
         MCConfig.from_dict({"n_path": 2000})
     assert "n_threads" in str(err.value).split("known fields:")[1]
     assert MCConfig.from_dict({"n_threads": 2}).n_threads == 2
+
+
+# --------------------------------------------------------------------------- #
+# Premium sweep compaction
+# --------------------------------------------------------------------------- #
+
+def _row_by_row_sweep(model, payoff, solution, x, n_paths, seed, tols, n_threads):
+    """Reference premium sweep: the integrand on every inside path at every
+    step, zero outside the band, accumulated through a mask."""
+    grid = solution.grid
+    integrals = {tol: np.empty(n_paths) for tol in tols}
+    exited = 0
+    for lo, block in simulate_log_blocks(model, np.asarray(x, dtype=float), 0.0, grid.T,
+                                         grid.n_time, n_paths, seed, n_threads=n_threads):
+        nb = block.shape[0]
+        acc = {tol: np.zeros(nb) for tol in tols}
+        inside = np.ones(nb, dtype=bool)
+        for k in range(grid.n_time):
+            zk = block[:, k, :]
+            inside &= np.all((zk >= grid.z_min) & (zk <= grid.z_max), axis=-1)
+            if not inside.any():
+                break
+            zin = zk[inside]
+            prices = _untie(payoff, np.exp(zin))
+            psi = payoff.evaluate(prices)
+            psim = payoff.psi_minus(prices, model.rates, model.gaussian)
+            u = interp_level(solution.values, grid, k, zin)
+            jf = interp_level(solution.jump_field, grid, k, zin)
+            disc = np.exp(-model.rates.r * grid.times[k])
+            payload = disc * (psim > 0) * (psim - jf) * grid.dt
+            for tol in tols:
+                in_band = u - psi <= tol * (1.0 + psi)
+                acc[tol][inside] += np.where(in_band, payload, 0.0)
+        exited += int(nb - inside.sum())
+        for tol in tols:
+            integrals[tol][lo:lo + nb] = acc[tol]
+    return {tol: _estimate(v, n_paths, seed) for tol, v in integrals.items()}, exited / n_paths
+
+
+@pytest.fixture(scope="module")
+def small_american(merton_model, put_1d, merton2d_model, min_put_2d):
+    cases = {"merton1d": (merton_model, put_1d, [SPOT], 1.0, 201, 50, 4.0),
+             "merton2d": (merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 61, 10, 5.0)}
+    out = {}
+    for name, (model, payoff, spot, T, n_space, n_time, beta) in cases.items():
+        cfg = SolverConfig(n_space=n_space, n_time=n_time, beta=beta, trunc_tol=1e-5)
+        _, _, amer, _ = lp.solve_pair(model, payoff, spot, T, cfg)
+        out[name] = (model, payoff, spot, amer)
+    return out
+
+
+class TestPremiumCompaction:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("case", ["merton1d", "merton2d"])
+    def test_band_rows_match_row_by_row_reference(self, small_american, case, n_threads):
+        model, payoff, spot, amer = small_american[case]
+        tols = (1e-5, 1e-6, 1e-7)
+        ref, exit_fraction = _row_by_row_sweep(model, payoff, amer, spot, 4000, 61, tols,
+                                               n_threads)
+        # a repeated tolerance must not be accumulated twice
+        out = premium_sweep(model, payoff, amer, 0.0, spot, amer.grid.T, 4000, seed=61,
+                            exercise_tols=tols + (1e-6,), n_threads=n_threads)
+        assert out["exit_fraction"] == exit_fraction
+        for tol in tols:
+            assert (out[tol].mean, out[tol].stderr) == (ref[tol].mean, ref[tol].stderr), tol
+        assert out[1e-5].mean > 0
+
+    @pytest.mark.parametrize("payoff, tied", [
+        (lp.Payoff.min_put(100.0, 2), [[90.0, 90.0], [50.0, 50.0], [99.5, 99.5]]),
+        (lp.Payoff.max_call(100.0, 2), [[110.0, 110.0], [150.0, 150.0]]),
+    ])
+    def test_untie_leaves_psi_minus_no_tie(self, merton2d_model, payoff, tied):
+        prices = np.array(tied + [[90.0, 110.0]])
+        with pytest.raises(lp.TieBreak):
+            payoff.psi_minus(prices, merton2d_model.rates, merton2d_model.gaussian)
+        untied = _untie(payoff, prices)
+        assert not payoff.tie_mask(untied).any()
+        assert (payoff.evaluate(untied[:-1]) > 0).all()
+        assert np.array_equal(untied[-1], prices[-1])
+        psim = payoff.psi_minus(untied, merton2d_model.rates, merton2d_model.gaussian)
+        assert np.isfinite(psim).all()
+
+
+def test_lsmc_shrink_warned_once_per_date(bs_model, caplog):
+    # OTM put, 200 paths, 10 dates: three dates shrink the degree-3 basis,
+    # one to degree 2 and two single-path dates to no fit
+    import logging
+    with caplog.at_level(logging.WARNING, logger="levypricer.monte_carlo"):
+        price_american_ls(bs_model, lp.Payoff.min_put(70.0, 1), 0.0, [SPOT], 1.0, 10, 200,
+                          RegressionBasis(degree=3), seed=49)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 3
+    assert all("smaller than basis (5); shrinking" in m for m in messages)
+    assert sorted(m.rsplit("shrinking ", 1)[1] for m in messages) == \
+        ["leaves no fit", "leaves no fit", "to degree 2"]

@@ -1,0 +1,109 @@
+"""Property tests: the column folds of `Payoff` against axis reductions.
+
+`evaluate`, `tie_mask` and `psi_minus` fold min, max and the tie count over
+the asset axis one column at a time.  The references below reduce over the
+axis with numpy (`x.min(axis=-1)`, `np.sort`); min, max and comparisons are
+exact, so every result must be bitwise equal, ties, zeros and negative
+coordinates included.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import levypricer as lp
+from levypricer.payoffs import (INDEX_CALL, INDEX_PUT, MAX_CALL, MIN_PUT, MULTI_STRIKE,
+                                POWER_PRODUCT, SPREAD_CALL, SPREAD_PUT, Payoff)
+
+
+def reference_evaluate(self, x):
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 1
+    x = np.atleast_2d(x)
+    k = self.kind
+    if k == MIN_PUT:
+        hinge = np.maximum(self.strike - x.min(axis=-1), 0.0)
+        out = np.where(np.all(x >= 0, axis=-1), hinge, self.strike)
+    elif k == INDEX_PUT:
+        out = np.maximum(self.strike - np.sum(self.weights * np.clip(x, 0.0, None), axis=-1), 0.0)
+    elif k == SPREAD_PUT:
+        out = np.maximum(self.strike - x @ self.weights, 0.0)
+    elif k in (INDEX_CALL, SPREAD_CALL):
+        out = np.maximum(x @ self.weights - self.strike, 0.0)
+    elif k == MAX_CALL:
+        out = np.maximum(x.max(axis=-1) - self.strike, 0.0)
+    elif k == MULTI_STRIKE:
+        out = np.maximum((x - self.strike).max(axis=-1), 0.0)
+    else:
+        assert k == POWER_PRODUCT
+        out = np.maximum(np.abs(np.prod(x, axis=-1)) ** self.gamma_pow - self.strike, 0.0)
+    return out[0] if scalar else out
+
+
+def reference_tie_mask(self, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if self.dim < 2 or self.kind not in (MIN_PUT, MAX_CALL, MULTI_STRIKE):
+        return np.zeros(x.shape[:-1], dtype=bool)
+    v = x - self.strike if self.kind == MULTI_STRIKE else x
+    srt = np.sort(v, axis=-1)
+    if self.kind == MIN_PUT:
+        return srt[..., 0] == srt[..., 1]
+    return srt[..., -1] == srt[..., -2]
+
+
+def catalog(dim):
+    w = [0.6, 0.4] if dim == 2 else [1.0]
+    diff = [1.0, -1.0] if dim == 2 else [1.0]
+    return [Payoff.min_put(100.0, dim), Payoff.index_put(100.0, w, dim),
+            Payoff.spread_put(10.0, diff, dim), Payoff.index_call(100.0, w, dim),
+            Payoff.spread_call(10.0, diff, dim), Payoff.max_call(100.0, dim),
+            Payoff.multi_strike([95.0, 105.0][:dim], dim), Payoff.power_product(1.2, 1.5, dim)]
+
+
+PAYOFFS = catalog(1) + catalog(2)
+RATES = {1: lp.Rates(r=0.05, delta=[0.02]), 2: lp.Rates(r=0.05, delta=[0.02, 0.01])}
+GAUSS = {1: lp.GaussianPart(a=[[0.04]]), 2: lp.GaussianPart(a=[[0.04, 0.01], [0.01, 0.09]])}
+
+# a small pool of exact values (strikes, zeros of both signs, negatives) makes
+# ties across columns common; free floats cover the rest
+COORD = st.one_of(st.sampled_from([0.0, -0.0, -5.0, 90.0, 95.0, 100.0, 105.0, 110.0]),
+                  st.floats(-50.0, 250.0, allow_nan=False, allow_infinity=False))
+
+
+def _points(dim):
+    return hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(dim)), elements=COORD)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _psi_minus_or_tie(payoff, x):
+    """Psi^- at x, or None where it raises on a tie."""
+    try:
+        return payoff.psi_minus(x, RATES[payoff.dim], GAUSS[payoff.dim])
+    except lp.TieBreak:
+        return None
+
+
+@pytest.mark.parametrize("payoff", PAYOFFS, ids=lambda p: f"{p.kind}-{p.dim}d")
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_folds_match_axis_reductions(payoff, data):
+    x = data.draw(_points(payoff.dim))
+    with np.errstate(invalid="ignore"):
+        assert _same(payoff.evaluate(x), reference_evaluate(payoff, x))
+        assert _same(payoff.evaluate(x[0]), reference_evaluate(payoff, x[0]))
+        assert _same(payoff.tie_mask(x), reference_tie_mask(payoff, x))
+        got = _psi_minus_or_tie(payoff, x)
+        with mock.patch.object(Payoff, "evaluate", reference_evaluate), \
+                mock.patch.object(Payoff, "tie_mask", reference_tie_mask):
+            want = _psi_minus_or_tie(payoff, x)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert _same(got, want)

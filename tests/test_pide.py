@@ -262,9 +262,9 @@ class TestSolveAmerican:
                     updated.append(np.flatnonzero(np.abs(b).sum(axis=1)))
                 return self.lu.solve(b)
 
-        def recording_splu(matrix):
+        def recording_splu(matrix, **options):
             factorized.append(matrix)
-            return Recorder(splu(matrix))
+            return Recorder(splu(matrix, **options))
 
         monkeypatch.setattr(pide, "splu", recording_splu)
         grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 61, 20, beta=5.0,
@@ -472,6 +472,25 @@ class TestTwoDimensional:
         grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 1.0, 101, 20, beta=2.0)
         with pytest.raises(lp.SchemeNotMonotone, match="correlation"):
             lp.assemble(model, grid)
+
+    def test_factor_needs_no_pivoting_at_the_guard_bound(self, merton2d_model, min_put_2d):
+        # a12 at 0.999 of the mixed-derivative bound: the step matrix rows are
+        # not diagonally dominant, yet the diagonal pivots of `_factor` solve
+        # it as accurately as SuperLU's partial pivoting
+        grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 151, 10, beta=5.0,
+                             trunc_tol=1e-5)
+        a = merton2d_model.gaussian.a
+        a12 = 0.999 * min(a[0, 0] * grid.dz[1] / grid.dz[0], a[1, 1] * grid.dz[0] / grid.dz[1])
+        model = lp.LevyModel.build(lp.GaussianPart(a=[[a[0, 0], a12], [a12, a[1, 1]]]),
+                                   merton2d_model.jumps, merton2d_model.rates)
+        matrix = lp.assemble(model, grid).step_matrix
+        margin = 2 * matrix.diagonal() - abs(matrix).sum(axis=1).A1  # diagonal minus the rest
+        assert margin.min() < -1.0
+        b = np.random.default_rng(7).standard_normal(matrix.shape[0])
+        x = pide._factor(matrix).solve(b)
+        ref = pide.splu(matrix).solve(b)
+        assert np.abs(matrix @ x - b).max() <= 1e-12 * np.abs(b).max()
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_interpolate_bilinear(self, minput2d_solves):
         grid, _, amer, _ = minput2d_solves
