@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -23,7 +23,6 @@ from .errors import InvalidDomain, NonIntegrableJump
 _PATH_BLOCK = 8192
 
 HOLDS_ANALYTIC = "holds analytically"
-HOLDS_QUADRATURE = "holds by quadrature"
 FAILS = "fails"
 
 
@@ -70,10 +69,13 @@ class MertonNormal:
         sd = np.sqrt(max(self.cov[i, i], 1e-300))
         return ndtr((y - self.mean[i]) / sd)
 
-    @property
-    def components_independent(self) -> bool:
-        off = self.cov - np.diag(np.diag(self.cov))
-        return not np.any(off)
+    def cell_masses(self, axes, dz) -> np.ndarray:
+        """Probability of each stencil cell centred on the `axes` nodes: the CDF
+        product for a diagonal covariance, density times cell area otherwise."""
+        if not np.any(self.cov - np.diag(np.diag(self.cov))):
+            return _cdf_cell_masses(self, axes, dz)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return self.density(pts.reshape(-1, self.dim)).reshape(pts.shape[:-1]) * float(np.prod(dz))
 
     def density(self, pts: np.ndarray) -> np.ndarray:
         d = self.dim
@@ -142,9 +144,8 @@ class KouDoubleExponential:
         pos = (1.0 - p) + p * (1.0 - np.exp(-ep * np.clip(y, 0.0, None)))
         return np.where(y < 0, neg, pos)
 
-    @property
-    def components_independent(self) -> bool:
-        return True
+    def cell_masses(self, axes, dz) -> np.ndarray:
+        return _cdf_cell_masses(self, axes, dz)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         n = counts.shape[0]
@@ -189,6 +190,28 @@ class Empirical:
     def component_radius(self, i: int, tail: float) -> float:
         return float(np.abs(self.jumps[:, i]).max(initial=0.0))
 
+    def cell_masses(self, axes, dz) -> np.ndarray:
+        # each atom split linearly over its neighbouring nodes: exact mass,
+        # first moment preserved
+        shape = tuple(len(ax) for ax in axes)
+        out = np.zeros(shape)
+        for atom, prob in zip(self.jumps, self.probs):
+            idx_lo, frac = [], []
+            for i, ax in enumerate(axes):
+                pos = (atom[i] - ax[0]) / dz[i]
+                lo = int(np.clip(np.floor(pos), 0, shape[i] - 2))
+                idx_lo.append(lo)
+                frac.append(np.clip(pos - lo, 0.0, 1.0))
+            if len(axes) == 1:
+                out[idx_lo[0]] += prob * (1 - frac[0])
+                out[idx_lo[0] + 1] += prob * frac[0]
+            else:
+                for di in (0, 1):
+                    for dj in (0, 1):
+                        w = (frac[0] if di else 1 - frac[0]) * (frac[1] if dj else 1 - frac[1])
+                        out[idx_lo[0] + di, idx_lo[1] + dj] += prob * w
+        return out
+
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         n = counts.shape[0]
         total = int(counts.sum())
@@ -201,7 +224,17 @@ class Empirical:
         return out
 
 
+def _cdf_cell_masses(law, axes, dz) -> np.ndarray:
+    """Exact cell masses of independent components from their CDFs: immune to
+    the density discontinuity of double-exponential laws at zero."""
+    per_axis = [law.component_cdf(ax + dz[i] / 2.0, i) - law.component_cdf(ax - dz[i] / 2.0, i)
+                for i, ax in enumerate(axes)]
+    return per_axis[0] if len(axes) == 1 else np.outer(per_axis[0], per_axis[1])
+
+
 JumpLaw = MertonNormal | KouDoubleExponential | Empirical
+# JSON "kind" of each law; a law's JSON fields are its dataclass fields
+JUMP_KINDS = {"merton": MertonNormal, "kou": KouDoubleExponential, "empirical": Empirical}
 
 
 @dataclass(frozen=True)
@@ -350,26 +383,19 @@ class ValidationReport:
         }
 
 
-def _signed_exp_condition(jumps: JumpSpec, q: float) -> tuple[str, str]:
-    """Finiteness of E[e^{q J_i}] for all components (one-sided exponent)."""
-    if not jumps.active or isinstance(jumps.law, (MertonNormal, Empirical)):
-        return HOLDS_ANALYTIC, "all exponential moments finite"
-    law = jumps.law
-    bad = [i for i in range(law.dim) if law.eta_plus[i] <= q]
-    if bad:
-        return FAILS, f"eta_plus must exceed {q} (components {bad})"
-    return HOLDS_ANALYTIC, f"eta_plus > {q} on every component"
-
-
-def _absolute_exp_condition(jumps: JumpSpec, q: float) -> tuple[str, str]:
-    """Finiteness of E[|J|^k e^{q |J|}]-type moments (two-sided exponent)."""
-    if not jumps.active or isinstance(jumps.law, (MertonNormal, Empirical)):
-        return HOLDS_ANALYTIC, "all exponential moments finite"
-    law = jumps.law
-    bad = [i for i in range(law.dim) if law.eta_plus[i] <= q or law.eta_minus[i] <= q]
-    if bad:
-        return FAILS, f"min(eta_plus, eta_minus) must exceed {q} (components {bad})"
-    return HOLDS_ANALYTIC, f"both tails decay faster than e^{{-{q}|y|}}"
+def _exp_condition(jumps: JumpSpec, exponents: tuple) -> tuple[str, str]:
+    """Finiteness of E[e^{q J_i}] for every q in `exponents` and component i."""
+    dim = jumps.law.dim if jumps.active else 0
+    failures = []
+    for q in exponents:
+        for i in range(dim):
+            try:
+                jumps.exp_moment(q, i)
+            except NonIntegrableJump as exc:
+                failures.append(str(exc))
+    if failures:
+        return FAILS, "; ".join(failures)
+    return HOLDS_ANALYTIC, f"E[e^{{q J_i}}] finite for q = {', '.join(f'{q:g}' for q in exponents)}"
 
 
 def validate_integrability(jumps: JumpSpec, p: float, beta: float, epsilon: float) -> ValidationReport:
@@ -388,13 +414,13 @@ def validate_integrability(jumps: JumpSpec, p: float, beta: float, epsilon: floa
         raise ValueError("need p >= 0, epsilon > 0 and beta > p")
     q_payoff = max(1.0, p) + epsilon
     rows = []
-    for name, q, checker in (
-        ("martingale moment E[e^{J_i}]", 1.0, _signed_exp_condition),
-        (f"payoff moment E[e^{{{q_payoff:g} J_i}}]", q_payoff, _signed_exp_condition),
-        (f"weighted first moment E[|J| e^{{{beta:g}|J|}}]", beta, _absolute_exp_condition),
-        (f"weighted second moment E[|J|^2 e^{{{2 * beta:g}|J|}}]", 2.0 * beta, _absolute_exp_condition),
+    for name, q, exponents in (
+        ("martingale moment E[e^{J_i}]", 1.0, (1.0,)),
+        (f"payoff moment E[e^{{{q_payoff:g} J_i}}]", q_payoff, (q_payoff,)),
+        (f"weighted first moment E[|J| e^{{{beta:g}|J|}}]", beta, (beta, -beta)),
+        (f"weighted second moment E[|J|^2 e^{{{2 * beta:g}|J|}}]", 2.0 * beta, (2.0 * beta, -2.0 * beta)),
     ):
-        status, detail = checker(jumps, q)
+        status, detail = _exp_condition(jumps, exponents)
         rows.append(ConditionCheck(name=name, exponent=q, status=status, detail=detail))
     return ValidationReport(checks=tuple(rows))
 
@@ -508,31 +534,18 @@ def jumps_from_dict(spec: dict) -> JumpSpec:
     kind = spec.get("kind", "none").lower()
     if kind == "none":
         return JumpSpec(intensity=0.0)
-    lam = float(spec["lambda"])
-    if kind == "merton":
-        law = MertonNormal(mean=spec["mean"], cov=spec["cov"])
-    elif kind == "kou":
-        law = KouDoubleExponential(p_up=spec["p_up"], eta_plus=spec["eta_plus"],
-                                   eta_minus=spec["eta_minus"])
-    elif kind == "empirical":
-        law = Empirical(jumps=spec["jumps"], probs=spec["probs"])
-    else:
-        raise ValueError(f"unknown jump kind {kind!r}")
-    return JumpSpec(intensity=lam, law=law)
+    if kind not in JUMP_KINDS:
+        raise ValueError(f"unknown jump kind {kind!r}; known kinds: none, {', '.join(JUMP_KINDS)}")
+    law = JUMP_KINDS[kind](**{f.name: spec[f.name] for f in fields(JUMP_KINDS[kind])})
+    return JumpSpec(intensity=float(spec["lambda"]), law=law)
 
 
 def jumps_to_dict(jumps: JumpSpec) -> dict:
     if not jumps.active:
         return {"kind": "none"}
-    law = jumps.law
-    if isinstance(law, MertonNormal):
-        return {"kind": "merton", "lambda": jumps.intensity,
-                "mean": law.mean.tolist(), "cov": law.cov.tolist()}
-    if isinstance(law, KouDoubleExponential):
-        return {"kind": "kou", "lambda": jumps.intensity, "p_up": law.p_up.tolist(),
-                "eta_plus": law.eta_plus.tolist(), "eta_minus": law.eta_minus.tolist()}
-    return {"kind": "empirical", "lambda": jumps.intensity,
-            "jumps": law.jumps.tolist(), "probs": law.probs.tolist()}
+    kind = next(k for k, law_type in JUMP_KINDS.items() if type(jumps.law) is law_type)
+    return {"kind": kind, "lambda": jumps.intensity,
+            **{f.name: getattr(jumps.law, f.name).tolist() for f in fields(jumps.law)}}
 
 
 def model_from_dict(spec: dict) -> LevyModel:

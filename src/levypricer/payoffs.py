@@ -232,6 +232,35 @@ class Payoff:
             return np.inf
         return float(min(margins))
 
+    def kink_margin_log(self, zmesh: np.ndarray) -> np.ndarray:
+        """Approximate log-space distance from each node of `zmesh` (..., dim)
+        to the nearest kink or tie set."""
+        x = np.exp(zmesh)
+        k = self.kind
+        big = np.full(zmesh.shape[:-1], np.inf)
+        if k == CONSTANT:
+            return big
+        scale = np.abs(x).max(axis=-1)
+        if k == MIN_PUT:
+            margin = np.abs(zmesh.min(axis=-1) - np.log(self.strike))
+        elif k == MAX_CALL:
+            margin = np.abs(zmesh.max(axis=-1) - np.log(self.strike))
+        elif k in (INDEX_PUT, SPREAD_PUT, INDEX_CALL, SPREAD_CALL):
+            lvl = x @ self.weights
+            margin = np.abs(lvl - self.strike) / np.maximum(np.abs(x * self.weights).sum(axis=-1), 1e-300)
+        elif k == MULTI_STRIKE:
+            margin = np.abs((x - self.strike).max(axis=-1)) / scale
+        else:  # POWER_PRODUCT
+            f = np.abs(np.prod(x, axis=-1)) ** self.gamma_pow
+            margin = np.abs(f - self.strike) / np.maximum(self.gamma_pow * f * np.sqrt(self.dim), 1e-300)
+        if self.dim > 1 and k in (MIN_PUT, MAX_CALL, MULTI_STRIKE):
+            if k == MULTI_STRIKE:
+                tie = np.abs((x[..., 0] - self.strike[0]) - (x[..., 1] - self.strike[1])) / scale
+            else:
+                tie = np.abs(zmesh[..., 0] - zmesh[..., 1])
+            margin = np.minimum(margin, tie)
+        return margin
+
     def psi_minus_fd_check(self, x, rates: Rates, gaussian: GaussianPart,
                            h: float = 1e-3, printed_power_coeff: bool = False):
         """(closed form, finite-difference value) of Psi^- at a smooth point.

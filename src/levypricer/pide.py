@@ -27,8 +27,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
                      PenaltyNonMonotone, QuadratureTailTooHeavy, SchemeNotMonotone)
-from .model import Empirical, LevyModel
-from .payoffs import CONSTANT, Payoff
+from .model import LevyModel
+from .payoffs import Payoff
 
 _NEWTON_CAP = 50
 _OBSTACLE_SLACK = 1e-8  # ladder monotonicity slack
@@ -83,8 +83,8 @@ class Grid:
     z_center: np.ndarray
 
     def __post_init__(self):
-        for name in ("z_min", "z_max", "z_center"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+        for name, z in (("z_min", self.z_min), ("z_max", self.z_max), ("z_center", self.z_center)):
+            object.__setattr__(self, name, np.atleast_1d(np.asarray(z, dtype=float)))
         if self.dim not in (1, 2):
             raise ValueError("only d = 1 and d = 2 grids are supported")
         if self.n_space % 2 == 0:
@@ -251,22 +251,6 @@ class DiscreteOperator:
         """Sparse LU of `step_matrix`, shared by every solve on this operator."""
         return _factor(self.step_matrix)
 
-    def generator_action(self, core: np.ndarray, extended: np.ndarray | None = None,
-                         include_rate: bool = True) -> np.ndarray:
-        """Discrete generator applied to a field (interior rows; boundary rows junk).
-
-        `extended` supplies values beyond the grid for the jump convolution;
-        when omitted, the core is used directly (valid only when lambda = 0).
-        """
-        out = (self.local @ core.ravel()).reshape(self.grid.shape)
-        if self.lam > 0:
-            if extended is None:
-                raise ValueError("jump convolution needs an extended field")
-            out = out + self.convolve(extended)
-        if include_rate:
-            out = out - self.model.rates.r * core
-        return out
-
 
 def _factor(matrix: sp.csc_matrix):
     """Sparse LU of a step or penalized matrix: symmetric minimum-degree
@@ -309,50 +293,13 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
         raise QuadratureTailTooHeavy(
             f"stencil radius {cover:.4g} cannot hold the requested tail (needs {radius:.4g})")
     axes = [dz[i] * np.arange(-m[i], m[i] + 1) for i in range(grid.dim)]
-    law = model.jumps.law
-    if isinstance(law, Empirical):
-        raw = _split_atoms(law, axes, dz)
-    elif getattr(law, "components_independent", False):
-        # exact cell masses from the per-component CDFs: immune to the
-        # density discontinuity of double-exponential laws at zero
-        per_axis = [law.component_cdf(ax + dz[i] / 2.0, i)
-                    - law.component_cdf(ax - dz[i] / 2.0, i)
-                    for i, ax in enumerate(axes)]
-        raw = per_axis[0] if grid.dim == 1 else np.outer(per_axis[0], per_axis[1])
-    else:
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        cell = float(np.prod(dz))
-        raw = law.density(pts.reshape(-1, grid.dim)).reshape(pts.shape[:-1]) * cell
-    raw = raw * lam
+    raw = model.jumps.law.cell_masses(axes, dz) * lam
     total = float(raw.sum())
     defect = abs(total - lam)
     if total <= 0:
         raise QuadratureTailTooHeavy("jump stencil carries no mass")
     stencil = raw * (lam / total)  # row-sum correction: constants must map to zero
     return stencil, m, radius, defect
-
-
-def _split_atoms(law: Empirical, axes, dz) -> np.ndarray:
-    # distribute each atom linearly over its neighbouring cells (exact mass,
-    # first moment preserved)
-    shape = tuple(len(ax) for ax in axes)
-    out = np.zeros(shape)
-    for atom, prob in zip(law.jumps, law.probs):
-        idx_lo, frac = [], []
-        for i, ax in enumerate(axes):
-            pos = (atom[i] - ax[0]) / dz[i]
-            lo = int(np.clip(np.floor(pos), 0, shape[i] - 2))
-            idx_lo.append(lo)
-            frac.append(np.clip(pos - lo, 0.0, 1.0))
-        if len(axes) == 1:
-            out[idx_lo[0]] += prob * (1 - frac[0])
-            out[idx_lo[0] + 1] += prob * frac[0]
-        else:
-            for di in (0, 1):
-                for dj in (0, 1):
-                    w = (frac[0] if di else 1 - frac[0]) * (frac[1] if dj else 1 - frac[1])
-                    out[idx_lo[0] + di, idx_lo[1] + dj] += prob * w
-    return out
 
 
 def assemble(model: LevyModel, grid: Grid, y_max_tail: float = 1e-10) -> DiscreteOperator:
@@ -429,7 +376,6 @@ class Solution:
     obstacle: np.ndarray            # psi on the lattice
     exercise_set: np.ndarray        # bool, same shape as values
     jump_field: np.ndarray          # L_I u per level
-    penalty: float | None = None
     penalty_source: np.ndarray | None = None
     exercise_tol: float = 1e-6
     metadata: dict = field(default_factory=dict)
@@ -440,7 +386,6 @@ class Solution:
 
 def _interp_space(grid: Grid, level_values: np.ndarray, zq: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of one time level at query log-points (n, d)."""
-    out = np.zeros(zq.shape[0])
     idx, frac = [], []
     for i in range(grid.dim):
         pos = (zq[:, i] - grid.z_min[i]) / grid.dz[i]
@@ -642,7 +587,7 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     return Solution(grid=grid, kind="american", payoff=payoff, values=prev,
                     obstacle=psi, exercise_set=exercise,
                     jump_field=_jump_field(operator, payoff, prev, conv, american=True),
-                    penalty=ladder[-1], penalty_source=source,
+                    penalty_source=source,
                     exercise_tol=exercise_tol, metadata=meta)
 
 
@@ -669,12 +614,16 @@ def _jump_convolution(operator: DiscreteOperator, payoff: Payoff, core: np.ndarr
     return operator.convolve(operator.extend(core, ring))
 
 
-def _compensate(operator: DiscreteOperator, conv: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """L_I u = (K * u) - lambda u - sum_i lambda kappa_i d_i u, in log coordinates."""
-    out = conv - operator.lam * core
+def _compensate(operator: DiscreteOperator, conv: np.ndarray, core: np.ndarray,
+                sign: float = -1.0) -> np.ndarray:
+    """L_I u = (K * u) - lambda u - sum_i lambda kappa_i d_i u, in log coordinates.
+
+    sign = +1 inverts it: K * u = L_I u + lambda u + sum_i lambda kappa_i d_i u.
+    """
+    out = conv + sign * operator.lam * core
     for i in range(operator.grid.dim):
         grad = np.gradient(core, operator.grid.dz[i], axis=i)
-        out = out - operator.lam * operator.kappa[i] * grad
+        out = out + sign * operator.lam * operator.kappa[i] * grad
     return out
 
 
@@ -707,41 +656,13 @@ def _jump_field(operator: DiscreteOperator, payoff: Payoff, values: np.ndarray,
     return conv
 
 
-def _kink_margin_log(payoff: Payoff, zmesh: np.ndarray) -> np.ndarray:
-    """Approximate log-space distance to the nearest kink or tie set."""
-    x = np.exp(zmesh)
-    k = payoff.kind
-    big = np.full(zmesh.shape[:-1], np.inf)
-    if k == CONSTANT:
-        return big
-    scale = np.abs(x).max(axis=-1)
-    if k == "min_put":
-        margin = np.abs(zmesh.min(axis=-1) - np.log(payoff.strike))
-    elif k == "max_call":
-        margin = np.abs(zmesh.max(axis=-1) - np.log(payoff.strike))
-    elif k in ("index_put", "spread_put", "index_call", "spread_call"):
-        lvl = x @ payoff.weights
-        margin = np.abs(lvl - payoff.strike) / np.maximum(np.abs(x * payoff.weights).sum(axis=-1), 1e-300)
-    elif k == "multi_strike":
-        margin = np.abs((x - payoff.strike).max(axis=-1)) / scale
-    else:  # power_product
-        f = np.abs(np.prod(x, axis=-1)) ** payoff.gamma_pow
-        margin = np.abs(f - payoff.strike) / np.maximum(payoff.gamma_pow * f * np.sqrt(payoff.dim), 1e-300)
-    if payoff.dim > 1 and k in ("min_put", "max_call", "multi_strike"):
-        if k == "multi_strike":
-            tie = np.abs((x[..., 0] - payoff.strike[0]) - (x[..., 1] - payoff.strike[1])) / scale
-        else:
-            tie = np.abs(zmesh[..., 0] - zmesh[..., 1])
-        margin = np.minimum(margin, tie)
-    return margin
-
-
 def complementarity_residual(solution: Solution, operator: DiscreteOperator,
                              payoff: Payoff, kink_layers: int = 3,
                              terminal_buffer: float = 0.05):
     """min(-D_t u - L u + r u, u - psi) on interior levels, masked max-norm.
 
-    The time derivative is the central difference, independent of the
+    The jump part of L u is the solution's stored jump field, so no level is
+    convolved again.  The time derivative is the central difference, independent of the
     stepping scheme, so the residual genuinely measures discretization error.
     Excluded from the norm (NaN in the field): nodes inside the payoff kink's
     parabolic influence region |z - kink| < layers * max(dz, sqrt(a_max tau)),
@@ -755,16 +676,15 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
     r = operator.model.rates.r
     dt = grid.dt
     a_max = float(np.diag(operator.model.gaussian.a).max())
-    margin = _kink_margin_log(payoff, grid.mesh())
+    margin = payoff.kink_margin_log(grid.mesh())
     field = np.full((grid.n_time - 1, *grid.shape), np.nan)
     american = solution.kind == "american"
     for k in range(1, grid.n_time):
         tau = grid.T - grid.times[k]
         if tau < terminal_buffer * grid.T:
             continue
-        ext = None if operator.lam == 0 else operator.extend(
-            u[k], far_field_values(payoff, operator.model, operator.ring_prices, tau, american))
-        gen = operator.generator_action(u[k], extended=ext, include_rate=True)
+        gen = (operator.local @ u[k].ravel()).reshape(grid.shape) \
+            + _compensate(operator, solution.jump_field[k], u[k], sign=1.0) - r * u[k]
         pde = -(u[k + 1] - u[k - 1]) / (2.0 * dt) - gen
         res = np.minimum(pde, u[k] - psi) if american else pde
         radius = max(kink_layers * grid.dz.max(), 4.0 * np.sqrt(a_max * tau))

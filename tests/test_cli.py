@@ -53,6 +53,14 @@ class TestValidate:
         statuses = [c["status"] for c in out["integrability"]["checks"]]
         assert "fails" in statuses
 
+    def test_unknown_jump_kind_usage_error(self, tmp_path, capsys):
+        model = _write(tmp_path, "model.json", {
+            "dim": 1, "a": [[0.04]], "rates": {"r": 0.0, "delta": [0.0]},
+            "jumps": {"kind": "variance_gamma", "lambda": 0.2},
+        })
+        assert main(["validate", "--model", model]) == 2
+        assert "unknown jump kind 'variance_gamma'" in capsys.readouterr().err
+
     def test_malformed_json_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

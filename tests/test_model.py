@@ -1,10 +1,13 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import levypricer as lp
 from levypricer.model import FAILS, HOLDS_ANALYTIC
+
+MODEL_CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs" / "models").glob("*.json"))
 
 
 def test_calibrate_drift_pure_diffusion():
@@ -69,6 +72,33 @@ class TestValidateIntegrability:
                 assert not ok
             failed = failed or not ok
         assert failed
+
+    @pytest.mark.parametrize("eta_plus, eta_minus", [(4.0, 3.0), (3.0, 4.0)])
+    def test_kou_conditions_flip_exactly_at_the_tail_rates(self, eta_plus, eta_minus):
+        # one-sided rows need q < eta_plus, two-sided rows q < min(eta_plus, eta_minus)
+        jumps = lp.JumpSpec(0.2, lp.KouDoubleExponential([0.5], [eta_plus], [eta_minus]))
+        flips = set()
+        for edge in (eta_plus, eta_minus):
+            for q in (np.nextafter(edge, 0.0), edge):
+                # payoff row at 1 + epsilon = q, weighted rows at q and 2 q
+                for beta, epsilon in ((q, q - 1.0), (q / 2.0, q - 1.0)):
+                    for c in lp.validate_integrability(jumps, p=0.0, beta=beta, epsilon=epsilon).checks:
+                        bound = min(eta_plus, eta_minus) if c.name.startswith("weighted") else eta_plus
+                        assert c.holds == (c.exponent < bound), (c.name, c.exponent, c.detail)
+                        flips.add((c.name.split()[0], c.exponent))
+        assert {("payoff", eta_plus), ("weighted", eta_plus), ("weighted", eta_minus)} <= flips
+
+    def test_shipped_model_statuses(self):
+        # only kou1d (eta_minus = 5) fails: the weighted second moment once
+        # 2 beta >= 5, the weighted first moment once beta >= 5
+        kou_fails = {1.5: [], 3.0: [3], 6.0: [2, 3]}
+        for path in MODEL_CONFIGS:
+            jumps = lp.load_model(path).jumps
+            for beta, fails in kou_fails.items():
+                checks = lp.validate_integrability(jumps, p=1.0, beta=beta, epsilon=0.1).checks
+                assert [c.status for c in checks] == [
+                    FAILS if path.stem == "kou1d" and i in fails else HOLDS_ANALYTIC
+                    for i in range(4)], (path.stem, beta)
 
     def test_no_jumps_trivially_ok(self):
         report = lp.validate_integrability(lp.JumpSpec(0.0), p=2.0, beta=4.0, epsilon=0.1)
@@ -157,6 +187,21 @@ class TestSimulatePaths:
             lp.simulate_paths(bs_model, 0.0, [-1.0], 1.0, 1, 10, seed=0)
 
 
+@pytest.mark.parametrize("jumps, probs, dz", [
+    ([[0.1], [-0.08], [0.037]], [0.5, 0.3, 0.2], [0.013]),
+    ([[0.1, -0.05], [-0.08, 0.03], [0.02, 0.2]], [0.3, 0.3, 0.4], [0.013, 0.021]),
+])
+def test_empirical_cell_masses_keep_mass_and_first_moment(jumps, probs, dz):
+    law = lp.Empirical(jumps=jumps, probs=probs)
+    dz = np.array(dz)
+    axes = [dz[i] * np.arange(-12, 13) for i in range(law.dim)]
+    masses = law.cell_masses(axes, dz)
+    nodes = np.meshgrid(*axes, indexing="ij")
+    assert abs(masses.sum() - 1.0) <= 1e-15
+    for i in range(law.dim):
+        assert abs((masses * nodes[i]).sum() - law.probs @ law.jumps[:, i]) <= 1e-15
+
+
 class TestConstruction:
     def test_gaussian_must_be_pd(self):
         with pytest.raises(ValueError):
@@ -192,3 +237,16 @@ def test_model_json_roundtrip(merton_model, kou_model):
         assert again.dim == model.dim
         assert np.allclose(again.log_drift, model.log_drift, atol=1e-15)
         assert np.array_equal(again.gaussian.a, model.gaussian.a)
+    rates = {"r": 0.05, "delta": [0.02, 0.01]}
+    specs = [json.loads(path.read_text()) for path in MODEL_CONFIGS] + [
+        {"dim": 2, "a": [[0.04, 0.012], [0.012, 0.04]], "rates": rates,
+         "jumps": {"kind": "kou", "lambda": 0.2, "p_up": [0.4, 0.5],
+                   "eta_plus": [10.0, 8.0], "eta_minus": [5.0, 6.0]}},
+        {"dim": 2, "a": [[0.04, 0.0], [0.0, 0.09]], "rates": rates,
+         "jumps": {"kind": "empirical", "lambda": 0.5, "jumps": [[0.1, -0.05], [-0.08, 0.03]],
+                   "probs": [0.25, 0.75]}},
+    ]
+    for spec in specs:
+        out = lp.model_to_dict(lp.model_from_dict(spec))
+        assert {key: out[key] for key in spec} == spec
+        assert lp.model_to_dict(lp.model_from_dict(json.loads(json.dumps(out)))) == out

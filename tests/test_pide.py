@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation, binary_erosion
 
 import levypricer as lp
 from levypricer import pide
@@ -48,8 +49,7 @@ class TestAssemble:
                              trunc_tol=1e-5)
         op = lp.assemble(merton_model, grid)
         ones_ext = np.ones(grid.n_space + 2 * op.offsets[0])
-        action = op.generator_action(np.ones(grid.shape), extended=ones_ext,
-                                     include_rate=False)
+        action = op.local @ np.ones(grid.shape) + op.convolve(ones_ext)
         interior = ~op.boundary_mask.reshape(grid.shape)
         assert np.abs(action[interior]).max() < 1e-10
 
@@ -58,8 +58,8 @@ class TestAssemble:
                              trunc_tol=1e-5)
         op = lp.assemble(merton_model, grid)
         ones_ext = np.ones(grid.n_space + 2 * op.offsets[0])
-        action = op.generator_action(np.ones(grid.shape), extended=ones_ext,
-                                     include_rate=True)
+        u = np.ones(grid.shape)
+        action = op.local @ u + op.convolve(ones_ext) - merton_model.rates.r * u
         interior = ~op.boundary_mask.reshape(grid.shape)
         assert np.abs(action[interior] + merton_model.rates.r).max() < 1e-10
 
@@ -72,8 +72,7 @@ class TestAssemble:
         z = grid.axes[0]
         ext_z = np.concatenate([z[0] + grid.dz[0] * np.arange(-m, 0), z,
                                 z[-1] + grid.dz[0] * np.arange(1, m + 1)])
-        action = op.generator_action(np.exp(z), extended=np.exp(ext_z),
-                                     include_rate=False)
+        action = op.local @ np.exp(z) + op.convolve(np.exp(ext_z))
         target = (0.05 - 0.0) * np.exp(z)
         sl = slice(m + 5, -(m + 5))
         rel = np.abs(action[sl] / target[sl] - 1.0)
@@ -300,7 +299,6 @@ class TestSolveAmerican:
         assert abs(est.mean - amer.value_at_spot()) < tol
 
     def test_penalty_source_bounded_by_benefit_rate(self, bs_solves, bs_model, put_1d):
-        from scipy.ndimage import binary_erosion
         grid, _, amer, _ = bs_solves
         prices = np.exp(grid.axes[0])
         psim = put_1d.psi_minus(prices[:, None], bs_model.rates, bs_model.gaussian)
@@ -336,11 +334,57 @@ class TestResidual:
             norms.append(norm)
         assert norms[0] / norms[1] >= 1.5
 
+    @pytest.mark.parametrize("name, spot, T, cfg", [
+        ("merton_model", [SPOT], 1.0, SolverConfig(n_space=201, n_time=40, beta=4.0, trunc_tol=1e-5)),
+        ("merton2d_model", [SPOT, SPOT], 0.5, SolverConfig(n_space=61, n_time=20, beta=5.0,
+                                                           trunc_tol=1e-5)),
+    ])
+    def test_reuses_the_stored_jump_field(self, name, spot, T, cfg, request, monkeypatch):
+        model = request.getfixturevalue(name)
+        payoff = lp.Payoff.min_put(100.0, model.dim)
+        grid, op, amer, eur = lp.solve_pair(model, payoff, spot, T, cfg)
+        calls, convolve = [], pide.DiscreteOperator.convolve
+        monkeypatch.setattr(pide.DiscreteOperator, "convolve",
+                            lambda self, ext: calls.append(1) or convolve(self, ext))
+        for sol in (amer, eur):
+            field, norm = lp.complementarity_residual(sol, op, payoff)
+            assert not calls
+            ref = _reference_residual(sol, op, payoff)
+            calls.clear()
+            assert np.array_equal(np.isnan(field), np.isnan(ref))
+            assert np.nanmax(np.abs(field - ref)) <= 1e-13 * (1.0 + np.abs(sol.values).max())
+            assert norm == np.nanmax(np.abs(field))
+
     def test_american_norm_scale(self, bs_solves, put_1d):
         grid, op, amer, _ = bs_solves
         _, norm = lp.complementarity_residual(amer, op, put_1d)
         scale = amer.obstacle.max()
         assert norm <= 10.0 * max(grid.dt, grid.dz.max() ** 2) * scale
+
+
+def _reference_residual(solution, op, payoff, kink_layers=3, terminal_buffer=0.05):
+    """complementarity_residual with the generator applied from scratch: the
+    local part, a fresh convolution of the far-field-extended level, the rate."""
+    grid, u, psi = solution.grid, solution.values, solution.obstacle
+    a_max = float(np.diag(op.model.gaussian.a).max())
+    margin = payoff.kink_margin_log(grid.mesh())
+    american = solution.kind == "american"
+    field = np.full((grid.n_time - 1, *grid.shape), np.nan)
+    for k in range(1, grid.n_time):
+        tau = grid.T - grid.times[k]
+        if tau < terminal_buffer * grid.T:
+            continue
+        ring = far_field_values(payoff, op.model, op.ring_prices, tau, american)
+        gen = (op.local @ u[k].ravel()).reshape(grid.shape) + op.convolve(op.extend(u[k], ring)) \
+            - op.model.rates.r * u[k]
+        pde = -(u[k + 1] - u[k - 1]) / (2.0 * grid.dt) - gen
+        res = np.minimum(pde, u[k] - psi) if american else pde
+        mask = grid.interior & (margin >= max(kink_layers * grid.dz.max(), 4.0 * np.sqrt(a_max * tau)))
+        if american:
+            ex = solution.exercise_set[k]
+            mask &= ~binary_dilation(ex ^ binary_erosion(ex), iterations=kink_layers)
+        field[k - 1][mask] = res[mask]
+    return field
 
 
 class TestJumpOperator:
