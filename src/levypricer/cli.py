@@ -73,6 +73,12 @@ def _emit(summary: dict, out_dir: str | None, name: str) -> None:
         (Path(out_dir) / name).write_text(text + "\n")
 
 
+def _diagnostics(amer) -> dict:
+    """Per-rung counts of the American solve: counts only, never timings."""
+    return {key: amer.metadata[key]
+            for key in ("newton_solves", "factorizations", "update_columns")}
+
+
 def cmd_validate(args) -> int:
     model = load_model(args.model)
     p = float(args.p)
@@ -100,9 +106,7 @@ def cmd_price(args) -> int:
     if args.method in ("pide", "both"):
         _, _, amer, eur = solve_pair(model, payoff, spot, T, solver_cfg)
         summary["pide"] = {"european": eur.value_at_spot(), "american": amer.value_at_spot()}
-        # counts only: the summary must not depend on how fast the host ran
-        summary["diagnostics"] = {key: amer.metadata[key]
-                                  for key in ("newton_solves", "factorizations", "update_columns")}
+        summary["diagnostics"] = _diagnostics(amer)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
             export_solution_csv(amer, Path(args.out) / "american_solution.csv")
@@ -139,7 +143,7 @@ def cmd_premium(args) -> int:
     grid, _, amer, eur = solve_pair(model, payoff, spot, T, solver_cfg)
     report = premium_mod.premium_identity(model, payoff, spot, T, solver_cfg, mc_cfg,
                                           solutions=(amer, eur))
-    summary = report.to_dict()
+    summary = {**report.to_dict(), "diagnostics": _diagnostics(amer)}
     _emit(summary, args.out, "premium.json")
     if args.out and grid.dim == 1:
         rows = premium_mod.boundary_curve(amer, payoff)
@@ -159,7 +163,7 @@ def cmd_converge(args) -> int:
         levels.append((ns, nt, npaths))
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
-    rows = []
+    rows, diagnostics = [], []
     for i, (ns, nt, npaths) in enumerate(levels):
         t0 = time.perf_counter()
         cfg = dataclasses.replace(solver_cfg, n_space=ns, n_time=nt)
@@ -174,7 +178,8 @@ def cmd_converge(args) -> int:
             "premium_gap": report.identity_gap, "complementarity_maxnorm": resid,
             "runtime_s": time.perf_counter() - t0,
         })
-    summary = {"levels": rows}
+        diagnostics.append(_diagnostics(amer))
+    summary = {"levels": rows, "diagnostics": diagnostics}
     _emit(summary, args.out, "converge.json")
     if args.out:
         with open(Path(args.out) / "converge.csv", "w") as fh:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InvalidDomain, NonIntegrableJump
 
@@ -62,10 +62,12 @@ class MertonNormal:
         return float(np.exp(q * self.mean[i] + 0.5 * q * q * self.cov[i, i]))
 
     def component_radius(self, i: int, tail: float) -> float:
+        from scipy.special import ndtri
         z = -ndtri(tail / 2.0)  # standard normal upper quantile
         return abs(self.mean[i]) + z * np.sqrt(max(self.cov[i, i], 0.0))
 
     def component_cdf(self, y: np.ndarray, i: int) -> np.ndarray:
+        from scipy.special import ndtr
         sd = np.sqrt(max(self.cov[i, i], 1e-300))
         return ndtr((y - self.mean[i]) / sd)
 
@@ -77,14 +79,17 @@ class MertonNormal:
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         return self.density(pts.reshape(-1, self.dim)).reshape(pts.shape[:-1]) * float(np.prod(dz))
 
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of cov + 1e-300 I, computed once per law."""
+        return np.linalg.cholesky(self.cov + 1e-300 * np.eye(self.dim))
+
     def density(self, pts: np.ndarray) -> np.ndarray:
         d = self.dim
         pts = pts.reshape(-1, d)
-        cov = self.cov + 1e-300 * np.eye(d)
-        chol = np.linalg.cholesky(cov)
-        sol = np.linalg.solve(chol, (pts - self.mean).T)
+        sol = np.linalg.solve(self.chol, (pts - self.mean).T)
         quad = np.sum(sol * sol, axis=0)
-        det = np.prod(np.diag(chol)) ** 2
+        det = np.prod(np.diag(self.chol)) ** 2
         return np.exp(-0.5 * quad) / np.sqrt((2.0 * np.pi) ** d * det)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
@@ -92,8 +97,7 @@ class MertonNormal:
         # individual jumps.
         n = counts.shape[0]
         g = rng.standard_normal((n, self.dim))
-        chol = np.linalg.cholesky(self.cov + 1e-300 * np.eye(self.dim))
-        return counts[:, None] * self.mean + np.sqrt(counts)[:, None] * (g @ chol.T)
+        return counts[:, None] * self.mean + np.sqrt(counts)[:, None] * (g @ self.chol.T)
 
 
 @dataclass(frozen=True)

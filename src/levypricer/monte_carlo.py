@@ -149,27 +149,28 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
     def backward(stream: int, fit: bool) -> np.ndarray:
         """Discounted cash flows of one path set under the policy in `coefs`,
         fitting it date by date first when `fit` is set."""
-        logs = np.empty((n_paths, n_steps + 1, model.dim))
+        logs = np.empty((n_steps + 1, n_paths, model.dim))  # time-major: logs[k] is contiguous
         for lo, block in simulate_log_blocks(model, x, s, T, n_steps, n_paths, seed,
                                              stream=stream, n_threads=n_threads):
-            logs[lo:lo + block.shape[0]] = block
-        cash = payoff.evaluate(np.exp(logs[:, -1, :]))
+            logs[:, lo:lo + block.shape[0]] = block.transpose(1, 0, 2)
+        cash = payoff.evaluate(np.exp(logs[-1]))
         for k in range(n_steps - 1, 0, -1):
-            zk = logs[:, k, :]
+            zk = logs[k]
             pay = payoff.evaluate(np.exp(zk))
             cash = cash * disc
-            itm = pay > 0
-            if not np.any(itm) or not (fit or k in coefs):
+            itm = np.flatnonzero(pay > 0)
+            if not itm.size or not (fit or k in coefs):
                 continue
-            design = basis.design(zk[itm], pay[itm], center)
+            pay_itm = pay[itm]
+            design = basis.design(zk[itm], pay_itm, center)
             if fit:
                 found = _fit_continuation(basis, design, model.dim, cash[itm])
                 if found is None:
                     continue
                 coefs[k] = found
             cols, coef = coefs[k]
-            ex = pay[itm] >= design[:, cols] @ coef
-            cash[itm] = np.where(ex, pay[itm], cash[itm])
+            ex = pay_itm >= design[:, cols] @ coef
+            cash[itm[ex]] = pay_itm[ex]
         return cash * disc
 
     backward(stream=0, fit=True)    # its paths are freed before pass 2 simulates
@@ -226,7 +227,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
         acc = {tol: np.zeros(nb) for tol in exercise_tols}
         inside = np.ones(nb, dtype=bool)
         for k in range(n_steps):
-            zk = block[:, k, :]
+            zk = np.ascontiguousarray(block[:, k, :])  # one strided gather, contiguous reads
             inside &= _across(np.logical_and, (zk >= grid.z_min) & (zk <= grid.z_max))
             rows = np.flatnonzero(inside)
             if not rows.size:

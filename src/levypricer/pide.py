@@ -21,8 +21,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.ndimage import binary_dilation, binary_erosion
 from scipy.sparse.linalg import splu
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
@@ -276,6 +274,7 @@ def _fft_convolve_valid(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     off in the last ulp, which flips round-off values at psi = 0 in and out
     of the penalty active set.
     """
+    from scipy.fft import irfftn, next_fast_len, rfftn
     fshape = [next_fast_len(sa + sk - 1, True) for sa, sk in zip(a.shape, kernel.shape)]
     out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
     return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
@@ -670,6 +669,7 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
     with tau < terminal_buffer * T where no scheme is in its asymptotic
     regime yet.
     """
+    from scipy.ndimage import binary_dilation, binary_erosion
     grid = solution.grid
     u = solution.values
     psi = solution.obstacle
@@ -707,7 +707,8 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
 
 def export_solution_csv(solution: Solution, path) -> None:
     """Plotting-ready dump: one row per (time level, node), one formatted
-    block per level."""
+    block per level.  Node coordinates, prices and psi do not change with the
+    level, so they are formatted once."""
     grid = solution.grid
     zmesh = grid.mesh()
     d = grid.dim
@@ -715,11 +716,14 @@ def export_solution_csv(solution: Solution, path) -> None:
     pcols = [f"price{i+1}" for i in range(d)] if d > 1 else ["price"]
     header = ",".join(["t", *zcols, *pcols, "u", "psi", "exercised", "jump_field"])
     nodes = np.concatenate([zmesh, np.exp(zmesh)], axis=-1).reshape(-1, 2 * d)
-    psi = solution.obstacle.ravel()
-    block = (",".join(["%.10g"] * (2 * d + 3) + ["%d", "%.10g"]) + "\n") * len(nodes)
+    node_fmt = ",".join(["%.10g"] * (2 * d))
+    cols = np.empty((len(nodes), 5), dtype=object)  # node text, u, psi text, exercised, jump_field
+    cols[:, 0] = [node_fmt % tuple(row) for row in nodes.tolist()]
+    cols[:, 2] = ["%.10g" % v for v in solution.obstacle.ravel().tolist()]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for k, t in enumerate(grid.times):
-            cols = np.column_stack([np.full(len(nodes), t), nodes, solution.values[k].ravel(), psi,
-                                    solution.exercise_set[k].ravel(), solution.jump_field[k].ravel()])
-            fh.write(block % tuple(cols.ravel().tolist()))
+        for t, u, ex, jf in zip(grid.times, solution.values, solution.exercise_set,
+                                solution.jump_field):
+            cols[:, (1, 3, 4)] = np.column_stack([u.ravel(), ex.ravel(), jf.ravel()])
+            fh.write(("%.10g," % t + "%s,%.10g,%s,%d,%.10g\n") * len(nodes)
+                     % tuple(cols.ravel().tolist()))

@@ -6,6 +6,8 @@ import pytest
 from levypricer.cli import main
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+# the American solve's counts that price, premium and converge report
+DIAGNOSTIC_KEYS = {"newton_solves", "factorizations", "update_columns"}
 
 
 def _write(tmp_path, name, payload):
@@ -95,7 +97,7 @@ class TestPrice:
         summary = json.loads(capsys.readouterr().out)
         assert "pide" in summary and "mc" not in summary
         diagnostics = summary["diagnostics"]
-        assert set(diagnostics) == {"newton_solves", "factorizations", "update_columns"}
+        assert set(diagnostics) == DIAGNOSTIC_KEYS
         for counts in diagnostics.values():
             assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
 
@@ -136,6 +138,7 @@ class TestPremiumCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
+        assert set(report["diagnostics"]) == DIAGNOSTIC_KEYS
         boundary = (out / "boundary.csv").read_text().splitlines()
         assert boundary[0] == "t,boundary_price"
         assert len(boundary) == 40 + 2  # header + n_time + 1 levels
@@ -153,6 +156,7 @@ class TestConverge:
         summary = json.loads(capsys.readouterr().out)
         rows = summary["levels"]
         assert len(rows) == 3
+        assert [set(level) for level in summary["diagnostics"]] == [DIAGNOSTIC_KEYS] * 3
         resid = [r["complementarity_maxnorm"] for r in rows]
         assert resid[0] / resid[1] >= 1.5 and resid[1] / resid[2] >= 1.5
         assert (out / "converge.csv").exists()

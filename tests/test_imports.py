@@ -1,19 +1,45 @@
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).parent.parent / "src"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src"
+# loaded where they are used: scipy.special for Merton stencils, scipy.fft
+# for 2D jump convolutions, scipy.ndimage for the complementarity residual
+DEFERRED = "(['scipy', 'special'], ['scipy', 'ndimage'], ['scipy', 'fft'])"
+
+
+def _run(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _loaded(modules: str) -> str:
+    return f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {modules}))"
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.stats and scipy.signal cost about a second of import time
-    # between them; the package needs neither
-    code = ("import sys, levypricer; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # between them; the package needs neither, and defers the others
+    heavy = DEFERRED[:-1] + ", ['scipy', 'stats'], ['scipy', 'signal'])"
+    assert _run("import sys, levypricer; " + _loaded(heavy)).strip() == "[]"
+
+
+def test_kou_price_loads_no_deferred_scipy_submodule(tmp_path):
+    solver = tmp_path / "solver.json"
+    solver.write_text(json.dumps({"n_space": 101, "n_time": 20, "beta": 2.0}))
+    mc = tmp_path / "mc.json"
+    mc.write_text(json.dumps({"n_paths": 2000, "n_steps": 20, "seed": 5}))
+    argv = ["price", "--method", "both", "--model", str(ROOT / "configs/models/kou1d.json"),
+            "--payoff", str(ROOT / "configs/payoffs/put100_1d.json"), "--spot", "100",
+            "--T", "1", "--solver-config", str(solver), "--mc-config", str(mc),
+            "--out", str(tmp_path / "out")]
+    code = (f"import contextlib, io, sys; from levypricer import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0\n"
+            + _loaded(DEFERRED))
+    assert _run(code).strip() == "[]"
+    assert (tmp_path / "out" / "european_solution.csv").exists()

@@ -250,3 +250,19 @@ def test_model_json_roundtrip(merton_model, kou_model):
         out = lp.model_to_dict(lp.model_from_dict(spec))
         assert {key: out[key] for key in spec} == spec
         assert lp.model_to_dict(lp.model_from_dict(json.loads(json.dumps(out)))) == out
+
+
+def test_merton_cholesky_factored_once_per_law():
+    law = lp.MertonNormal(mean=[-0.05, -0.05], cov=[[0.01, 0.004], [0.004, 0.01]])
+    spec = lp.model_to_dict(lp.LevyModel.build(lp.GaussianPart(a=[[0.04, 0.0], [0.0, 0.04]]),
+                                               lp.JumpSpec(0.1, law),
+                                               lp.Rates(r=0.05, delta=[0.0, 0.0])))
+    assert law.chol is law.chol
+    assert np.array_equal(law.chol, np.linalg.cholesky(law.cov + 1e-300 * np.eye(2)))
+    # the cached factor is not a field: JSON, equality and hashing ignore it
+    assert set(spec["jumps"]) == {"kind", "lambda", "mean", "cov"}
+    one = lp.MertonNormal(mean=[-0.1], cov=[[0.0225]])
+    assert one.chol.shape == (1, 1)
+    assert one == lp.MertonNormal(mean=[-0.1], cov=[[0.0225]])
+    with pytest.raises(TypeError):
+        hash(one)

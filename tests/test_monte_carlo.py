@@ -347,3 +347,62 @@ def test_lsmc_shrink_warned_once_per_date(bs_model, caplog):
     assert all("smaller than basis (5); shrinking" in m for m in messages)
     assert sorted(m.rsplit("shrinking ", 1)[1] for m in messages) == \
         ["leaves no fit", "leaves no fit", "to degree 2"]
+
+
+# --------------------------------------------------------------------------- #
+# Time-major Longstaff-Schwartz store
+# --------------------------------------------------------------------------- #
+
+def _path_major_lsmc(model, payoff, x, T, n_steps, n_paths, basis, seed, n_threads):
+    """Reference Longstaff-Schwartz: paths stored (n_paths, n_steps + 1, d), so
+    each date is a strided slice, with boolean in-the-money masks."""
+    x = np.asarray(x, dtype=float)
+    center = np.log(np.atleast_1d(x))
+    disc = np.exp(-model.rates.r * (T / n_steps))
+    coefs = {}
+
+    def backward(stream, fit):
+        logs = np.empty((n_paths, n_steps + 1, model.dim))
+        for lo, block in simulate_log_blocks(model, x, 0.0, T, n_steps, n_paths, seed,
+                                             stream=stream, n_threads=n_threads):
+            logs[lo:lo + block.shape[0]] = block
+        cash = payoff.evaluate(np.exp(logs[:, -1, :]))
+        for k in range(n_steps - 1, 0, -1):
+            zk = logs[:, k, :]
+            pay = payoff.evaluate(np.exp(zk))
+            cash = cash * disc
+            itm = pay > 0
+            if not np.any(itm) or not (fit or k in coefs):
+                continue
+            design = basis.design(zk[itm], pay[itm], center)
+            if fit:
+                found = _fit_continuation(basis, design, model.dim, cash[itm])
+                if found is None:
+                    continue
+                coefs[k] = found
+            cols, coef = coefs[k]
+            ex = pay[itm] >= design[:, cols] @ coef
+            cash[itm] = np.where(ex, pay[itm], cash[itm])
+        return cash * disc
+
+    backward(0, True)
+    return _estimate(backward(1, False), n_paths, seed)
+
+
+@pytest.mark.parametrize("case, n_threads, n_paths", [
+    ("kou1d", 1, 9000), ("merton1d", 1, 9000), ("merton1d", 2, 9000),
+    ("merton2d", 1, 9000), ("constant", 1, 4),     # 4 paths shrink the basis to degree 2
+])
+def test_lsmc_matches_path_major_reference(request, case, n_threads, n_paths):
+    model, payoff, spot = {
+        "kou1d": ("kou_model", lp.Payoff.min_put(SPOT, 1), [SPOT]),
+        "merton1d": ("merton_model", lp.Payoff.min_put(SPOT, 1), [SPOT]),
+        "merton2d": ("merton2d_model", lp.Payoff.min_put(SPOT, 2), [SPOT, SPOT]),
+        "constant": ("bs_model", lp.Payoff.constant(5.0, 1), [SPOT]),
+    }[case]
+    model = request.getfixturevalue(model)
+    basis = RegressionBasis(degree=3)
+    est = price_american_ls(model, payoff, 0.0, spot, 1.0, 20, n_paths, basis, seed=17,
+                            n_threads=n_threads)
+    ref = _path_major_lsmc(model, payoff, spot, 1.0, 20, n_paths, basis, 17, n_threads)
+    assert (est.mean, est.stderr) == (ref.mean, ref.stderr)

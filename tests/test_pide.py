@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation, binary_erosion
@@ -599,3 +601,44 @@ def test_export_csv_matches_row_formatter(tmp_path, dim, merton_model, put_1d,
         path = tmp_path / f"{sol.kind}.csv"
         lp.export_solution_csv(sol, path)
         assert path.read_text() == _row_by_row_csv(sol)
+
+
+def _column_stack_csv(solution, path) -> None:
+    """Reference formatter: every column of a level, node coordinates, prices
+    and psi included, stacked into one float array and formatted per level."""
+    grid = solution.grid
+    zmesh = grid.mesh()
+    d = grid.dim
+    zcols = [f"z{i+1}" for i in range(d)] if d > 1 else ["z"]
+    pcols = [f"price{i+1}" for i in range(d)] if d > 1 else ["price"]
+    header = ",".join(["t", *zcols, *pcols, "u", "psi", "exercised", "jump_field"])
+    nodes = np.concatenate([zmesh, np.exp(zmesh)], axis=-1).reshape(-1, 2 * d)
+    psi = solution.obstacle.ravel()
+    block = (",".join(["%.10g"] * (2 * d + 3) + ["%d", "%.10g"]) + "\n") * len(nodes)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k, t in enumerate(grid.times):
+            cols = np.column_stack([np.full(len(nodes), t), nodes, solution.values[k].ravel(), psi,
+                                    solution.exercise_set[k].ravel(), solution.jump_field[k].ravel()])
+            fh.write(block % tuple(cols.ravel().tolist()))
+
+
+def test_export_csv_bytes_match_column_stack_reference(tmp_path, merton_model, put_1d,
+                                                       merton2d_model, min_put_2d):
+    cfg = SolverConfig(n_space=101, n_time=20, beta=4.0, trunc_tol=1e-5)
+    _, _, amer, eur = lp.solve_pair(merton_model, put_1d, [SPOT], 1.0, cfg)
+    nan_levels = amer.jump_field.copy()
+    nan_levels[::4] = np.nan
+    nan_levels[1, :10] = -0.0
+    amer = dataclasses.replace(amer, jump_field=nan_levels)
+    # 31^2 x 10 is below build_grid's minimum, so the 2D grid is cut down from 51^2
+    grid2d = dataclasses.replace(lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5,
+                                               51, 10, 5.0, 1e-5), n_space=31)
+    amer2d = lp.solve_american_penalty(merton2d_model, min_put_2d, grid2d,
+                                       lp.assemble(merton2d_model, grid2d))
+    assert amer.exercise_set.any() and amer2d.exercise_set.any()
+    for name, sol in (("amer1d", amer), ("eur1d", eur), ("amer2d", amer2d)):
+        path, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        lp.export_solution_csv(sol, path)
+        _column_stack_csv(sol, ref)
+        assert path.read_bytes() == ref.read_bytes(), name
