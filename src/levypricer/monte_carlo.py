@@ -89,16 +89,19 @@ class RegressionBasis:
         return exps
 
     def design(self, z: np.ndarray, payoff_vals: np.ndarray, center: np.ndarray) -> np.ndarray:
-        zc = z - center
-        cols = []
-        for e in self.exponents(z.shape[1]):
-            col = np.ones(z.shape[0])
-            for i, p in enumerate(e):
-                if p:
-                    col = col * zc[:, i] ** p
-            cols.append(col)
-        cols.append(payoff_vals)
-        return np.column_stack(cols)
+        exps = self.exponents(z.shape[1])
+        zc = (z - center).T
+        powers = np.empty((self.degree + 1, *zc.shape))  # powers[p, i] = zc_i^p, by products
+        powers[0] = 1.0
+        for p in range(1, self.degree + 1):
+            np.multiply(powers[p - 1], zc, out=powers[p])
+        out = np.empty((z.shape[0], len(exps) + 1))
+        for j, e in enumerate(exps):
+            out[:, j] = powers[e[0], 0]
+            for i in range(1, len(e)):
+                out[:, j] *= powers[e[i], i]
+        out[:, -1] = payoff_vals
+        return out
 
     def n_columns(self, dim: int, max_degree: int | None = None) -> int:
         return 1 + sum(1 for e in self.exponents(dim)

@@ -12,21 +12,27 @@ factored once per operator; each Newton level starts from the previous
 level's active set.  A moved set is solved by refactorizing (1D) or by a
 low-rank update of the last penalized factor (2D).
 `solve_pair` is the pipeline: grid, operator, American and European solves.
+
+`assemble` and the operator's matrix builds import `scipy.sparse`, and `splu`
+imports `scipy.sparse.linalg`, where they are used: scipy costs more import
+time than numpy, and the package, `validate` and Monte Carlo need none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
                      PenaltyNonMonotone, QuadratureTailTooHeavy, SchemeNotMonotone)
 from .model import LevyModel
 from .payoffs import Payoff
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _NEWTON_CAP = 50
 _OBSTACLE_SLACK = 1e-8  # ladder monotonicity slack
@@ -160,22 +166,15 @@ def build_grid(model: LevyModel, payoff: Payoff, spot, T: float, n_space: int,
 # Discrete operator
 # --------------------------------------------------------------------------- #
 
-def _axis_first_diff(n: int, dz: float, b: float, a_diag: float) -> sp.spmatrix:
-    # upwind when the cell Peclet number exceeds 1, central otherwise
-    peclet = abs(b) * dz / max(a_diag, 1e-300)
-    if peclet > 1.0:
-        if b > 0:
-            return sp.diags([-1.0, 1.0], [0, 1], shape=(n, n)) / dz
-        return sp.diags([-1.0, 1.0], [-1, 0], shape=(n, n)) / dz
-    return sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n)) / dz
-
-
-def _axis_second_diff(n: int, dz: float) -> sp.spmatrix:
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (dz * dz)
-
-
-def _central_diff(n: int, dz: float) -> sp.spmatrix:
-    return sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n)) / dz
+def _axis_diffs(n: int, dz: float, b: float, a_diag: float) -> tuple:
+    """(second, first, central) difference matrices on one axis; the first
+    difference is upwind when the cell Peclet number exceeds 1."""
+    import scipy.sparse as sp
+    central = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n)) / dz
+    first = central
+    if abs(b) * dz / max(a_diag, 1e-300) > 1.0:
+        first = sp.diags([-1.0, 1.0], [0, 1] if b > 0 else [-1, 0], shape=(n, n)) / dz
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (dz * dz), first, central
 
 
 @dataclass
@@ -202,7 +201,22 @@ class DiscreteOperator:
             return np.zeros(self.grid.shape)
         if self.grid.dim == 1:
             return np.convolve(extended, self.stencil[::-1], "valid")
-        return _fft_convolve_valid(extended, self.stencil[::-1, ::-1])
+        from scipy.fft import irfftn, rfftn
+        fshape, kernel = self._stencil_fft
+        out = irfftn(rfftn(extended, fshape) * kernel, fshape)
+        return out[tuple(slice(sk - 1, sa) for sa, sk in zip(extended.shape, self.stencil.shape))]
+
+    @cached_property
+    def _stencil_fft(self) -> tuple:
+        """(padded shape, rfftn of the flipped stencil) of the 2D convolution's
+        zero-padded real FFTs.  Padding to the next fast length of the full
+        size follows scipy.signal.fftconvolve bit for bit; a circular FFT at
+        the core size is off in the last ulp, which flips round-off values at
+        psi = 0 in and out of the penalty active set."""
+        from scipy.fft import next_fast_len, rfftn
+        fshape = [next_fast_len(self.grid.n_space + 2 * m + sk - 1, True)
+                  for m, sk in zip(self.offsets, self.stencil.shape)]
+        return fshape, rfftn(self.stencil[::-1, ::-1], fshape)
 
     def extend(self, core: np.ndarray, ring_values: np.ndarray) -> np.ndarray:
         """The core field inside the far-field values of the ring around it."""
@@ -240,14 +254,26 @@ class DiscreteOperator:
         The rate term is not in the matrix: r I commutes with the generator,
         so discounting is applied as an exact e^{-r dt} factor after each step.
         """
+        import scipy.sparse as sp
         interior = self.grid.interior.ravel().astype(float)
         a = sp.diags(interior) @ (sp.identity(interior.size) / self.grid.dt - self.local)
         return (a + sp.diags(self.boundary_mask.astype(float))).tocsc()
+
+    def penalized_matrix(self, n_pen: float, active: np.ndarray) -> sp.csc_matrix:
+        """`step_matrix` + n_pen diag(active): the step of a penalized set."""
+        import scipy.sparse as sp
+        return (self.step_matrix + sp.diags(n_pen * active.astype(float))).tocsc()
 
     @cached_property
     def step_lu(self):
         """Sparse LU of `step_matrix`, shared by every solve on this operator."""
         return _factor(self.step_matrix)
+
+
+def splu(matrix: sp.csc_matrix, **options):
+    """scipy's sparse LU; `scipy.sparse.linalg` loads at the first call."""
+    from scipy.sparse.linalg import splu
+    return splu(matrix, **options)
 
 
 def _factor(matrix: sp.csc_matrix):
@@ -264,20 +290,6 @@ def _factor(matrix: sp.csc_matrix):
     """
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
-
-
-def _fft_convolve_valid(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """'valid' part of the linear convolution, by zero-padded real FFTs.
-
-    Padding to the next fast length of the full size follows
-    scipy.signal.fftconvolve bit for bit.  A circular FFT at the core size is
-    off in the last ulp, which flips round-off values at psi = 0 in and out
-    of the penalty active set.
-    """
-    from scipy.fft import irfftn, next_fast_len, rfftn
-    fshape = [next_fast_len(sa + sk - 1, True) for sa, sk in zip(a.shape, kernel.shape)]
-    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
-    return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
 
 
 def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
@@ -322,14 +334,12 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = 1e-10) -> Discret
                 f"mixed derivative |a12| = {abs(a[0, 1]):.3g} exceeds the monotone cross-stencil "
                 f"bound min(a11 dz2/dz1, a22 dz1/dz2) = {lim:.3g}; lower the correlation below it")
 
+    import scipy.sparse as sp
+    d2, d1, dc = zip(*(_axis_diffs(n, dz[i], b[i], a[i, i]) for i in range(grid.dim)))
     if grid.dim == 1:
-        local = 0.5 * a[0, 0] * _axis_second_diff(n, dz[0]) \
-            + b[0] * _axis_first_diff(n, dz[0], b[0], a[0, 0])
+        local = 0.5 * a[0, 0] * d2[0] + b[0] * d1[0]
     else:
         eye = sp.identity(n)
-        d2 = [_axis_second_diff(n, dz[i]) for i in range(2)]
-        d1 = [_axis_first_diff(n, dz[i], b[i], a[i, i]) for i in range(2)]
-        dc = [_central_diff(n, dz[i]) for i in range(2)]
         local = 0.5 * a[0, 0] * sp.kron(d2[0], eye) + 0.5 * a[1, 1] * sp.kron(eye, d2[1]) \
             + a[0, 1] * sp.kron(dc[0], dc[1]) \
             + b[0] * sp.kron(d1[0], eye) + b[1] * sp.kron(eye, d1[1])
@@ -493,12 +503,14 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
                     if changed is None or cached + new.size > budget:
                         lu = changed = None  # release the stale factor before building the next
                         lu = operator.step_lu if not active.any() else _factor(
-                            (operator.step_matrix + sp.diags(n_pen * active.astype(float))).tocsc())
+                            operator.penalized_matrix(n_pen, active))
                         factorizations += bool(active.any())
                         slot[slot >= 0], cached, base = -1, 0, active
                     elif new.size:  # one multi-RHS solve for the nodes not cached yet
                         end = cached + new.size
-                        block[:, cached:end] = lu.solve(sp.identity(active.size, format="csc")[:, new].toarray())
+                        # unit columns e_j, j in new, in the column order SuperLU reads
+                        units = (np.arange(active.size)[:, None] == new).astype(float, order="F")
+                        block[:, cached:end] = lu.solve(units)
                         slot[new], cached, columns = np.arange(cached, end), end, columns + new.size
                 v = operator.step_lu.solve(rhs) if not active.any() \
                     else lu.solve(rhs + n_pen * active * psi_step)

@@ -22,11 +22,37 @@ def _loaded(modules: str) -> str:
     return f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {modules}))"
 
 
+def _scipy_modules(code: str) -> str:
+    """Modules named scipy or scipy.* that a fresh interpreter holds after `code`."""
+    return _run(f"import sys\n{code}\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))").strip()
+
+
+def _quiet_main(argv) -> str:
+    return (f"import contextlib, io; from levypricer import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0")
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.stats and scipy.signal cost about a second of import time
-    # between them; the package needs neither, and defers the others
-    heavy = DEFERRED[:-1] + ", ['scipy', 'stats'], ['scipy', 'signal'])"
-    assert _run("import sys, levypricer; " + _loaded(heavy)).strip() == "[]"
+    # between them; the package needs neither, and defers every submodule
+    # it uses: scipy.sparse to the first operator assembly
+    assert _scipy_modules("import levypricer") == "[]"
+
+
+def test_validate_loads_no_scipy():
+    argv = ["validate", "--model", str(ROOT / "configs/models/kou1d.json")]
+    assert _scipy_modules(_quiet_main(argv)) == "[]"
+
+
+def test_monte_carlo_price_loads_no_scipy(tmp_path):
+    mc = tmp_path / "mc.json"
+    mc.write_text(json.dumps({"n_paths": 2000, "n_steps": 20, "seed": 5}))
+    argv = ["price", "--method", "mc", "--model", str(ROOT / "configs/models/kou1d.json"),
+            "--payoff", str(ROOT / "configs/payoffs/put100_1d.json"), "--spot", "100",
+            "--T", "1", "--mc-config", str(mc), "--out", str(tmp_path / "out")]
+    assert _scipy_modules(_quiet_main(argv)) == "[]"
+    assert "mc" in json.loads((tmp_path / "out" / "price.json").read_text())
 
 
 def test_kou_price_loads_no_deferred_scipy_submodule(tmp_path):
@@ -38,8 +64,5 @@ def test_kou_price_loads_no_deferred_scipy_submodule(tmp_path):
             "--payoff", str(ROOT / "configs/payoffs/put100_1d.json"), "--spot", "100",
             "--T", "1", "--solver-config", str(solver), "--mc-config", str(mc),
             "--out", str(tmp_path / "out")]
-    code = (f"import contextlib, io, sys; from levypricer import cli\n"
-            f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0\n"
-            + _loaded(DEFERRED))
-    assert _run(code).strip() == "[]"
+    assert _run(f"import sys\n{_quiet_main(argv)}\n{_loaded(DEFERRED)}").strip() == "[]"
     assert (tmp_path / "out" / "european_solution.csv").exists()

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from levypricer.pide import Grid, SolverConfig, interp_level
 from oracles import bs_put, crr_american_put
 
 SPOT = 100.0
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 class TestEuropean:
@@ -405,4 +408,61 @@ def test_lsmc_matches_path_major_reference(request, case, n_threads, n_paths):
     est = price_american_ls(model, payoff, 0.0, spot, 1.0, 20, n_paths, basis, seed=17,
                             n_threads=n_threads)
     ref = _path_major_lsmc(model, payoff, spot, 1.0, 20, n_paths, basis, 17, n_threads)
+    assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
+
+
+# --------------------------------------------------------------------------- #
+# Regression design by products
+# --------------------------------------------------------------------------- #
+
+def _pow_design(basis, z, payoff_vals, center):
+    """Reference design: each monomial column by `**` (libm pow), stacked."""
+    zc = z - center
+    cols = []
+    for e in basis.exponents(z.shape[1]):
+        col = np.ones(z.shape[0])
+        for i, p in enumerate(e):
+            if p:
+                col = col * zc[:, i] ** p
+        cols.append(col)
+    cols.append(payoff_vals)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 3), (2, 3), (2, 0), (3, 2)])
+def test_design_matches_pow_reference_to_round_off(dim, degree):
+    rng = np.random.default_rng(dim + degree)
+    z, pay = rng.normal(4.6, 0.3, (500, dim)), rng.uniform(0.0, 10.0, 500)
+    basis, center = RegressionBasis(degree=degree), np.full(dim, 4.6)
+    design, ref = basis.design(z, pay, center), _pow_design(basis, z, pay, center)
+    assert design.shape == ref.shape == (500, basis.n_columns(dim))
+    assert design.flags.c_contiguous
+    assert np.array_equal(design[:, -1], pay)
+    assert np.allclose(design, ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("model, payoff, n_paths, n_steps, seed, n_threads", [
+    ("kou1d", "put100_1d", 16_384, 50, 1, 1),
+    ("kou1d", "put100_1d", 16_384, 50, 1, 2),
+    ("merton1d", "put100_1d", 50_000, 25, 78, 1),
+    ("bs1d", "put100_1d", 20_000, 50, 3, 1),
+    ("empirical1d", "put100_1d", 20_000, 50, 4, 1),
+    ("merton2d", "minput100_2d", 20_000, 50, 76, 1),
+    ("merton2d", "maxcall100_2d", 20_000, 20, 77, 1),
+])
+def test_lsmc_estimate_matches_pow_design(model, payoff, n_paths, n_steps, seed, n_threads,
+                                          monkeypatch):
+    # products differ from pow in the last bit of some design entries; the
+    # estimate moves only if an exercise decision flips, and none does here
+    model = lp.load_model(CONFIGS / "models" / f"{model}.json")
+    payoff = lp.load_payoff(CONFIGS / "payoffs" / f"{payoff}.json")
+    spot = [SPOT] * model.dim
+
+    def run():
+        return price_american_ls(model, payoff, 0.0, spot, 1.0, n_steps, n_paths,
+                                 RegressionBasis(degree=3), seed, n_threads)
+
+    est = run()
+    monkeypatch.setattr(RegressionBasis, "design", _pow_design)
+    ref = run()
     assert (est.mean, est.stderr) == (ref.mean, ref.stderr)

@@ -538,11 +538,36 @@ class TestTwoDimensional:
         assert np.abs(matrix @ x - b).max() <= 1e-12 * np.abs(b).max()
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_convolve_transforms_the_stencil_once(self, merton2d_model, min_put_2d,
+                                                  monkeypatch):
+        # the kernel and the padded shape are fixed per operator, so only the
+        # field is transformed per call; the result is the uncached one, bitwise
+        import scipy.fft
+        grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 61, 20, beta=5.0,
+                             trunc_tol=1e-5)
+        op = lp.assemble(merton2d_model, grid)
+        calls, rfftn = [], scipy.fft.rfftn
+        monkeypatch.setattr(scipy.fft, "rfftn", lambda *a, **kw: calls.append(1) or rfftn(*a, **kw))
+        fields = np.random.default_rng(3).uniform(0.0, 50.0, (3, *(grid.n_space + 2 * m
+                                                                  for m in op.offsets)))
+        for ext in fields:
+            ref = _uncached_fft_convolve_valid(ext, op.stencil[::-1, ::-1])
+            assert op.convolve(ext).tobytes() == ref.tobytes()
+        assert len(calls) == 3 + 1 + 6  # three fields, the stencil once; the reference six
+
     def test_interpolate_bilinear(self, minput2d_solves):
         grid, _, amer, _ = minput2d_solves
         i, j = 60, 80
         x = np.exp([grid.axes[0][i], grid.axes[1][j]])
         assert lp.interpolate(amer, 0.0, x) == pytest.approx(amer.values[0, i, j], rel=1e-12)
+
+
+def _uncached_fft_convolve_valid(a, kernel):
+    """Reference 'valid' convolution that transforms the kernel on every call."""
+    from scipy.fft import irfftn, next_fast_len, rfftn
+    fshape = [next_fast_len(sa + sk - 1, True) for sa, sk in zip(a.shape, kernel.shape)]
+    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
+    return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
 
 
 def test_solver_config_roundtrip():
