@@ -45,11 +45,7 @@ def _threads(args) -> int | None:
 def _load_inputs(args):
     model = load_model(args.model)
     payoff = load_payoff(args.payoff)
-    if payoff.dim != model.dim:
-        raise ValueError("payoff and model dimensions disagree")
     spot = np.array([float(v) for v in str(args.spot).split(",")])
-    if spot.shape[0] != model.dim:
-        raise ValueError("spot dimension must match the model")
     solver_cfg = SolverConfig.from_dict(_read_json(args.solver_config)) \
         if getattr(args, "solver_config", None) else SolverConfig()
     mc_cfg = MCConfig.from_dict(_read_json(args.mc_config)) \
@@ -133,13 +129,9 @@ def cmd_price(args) -> int:
 
 
 def cmd_premium(args) -> int:
-    from .errors import ModelRejected
     model, payoff, spot, solver_cfg, mc_cfg = _load_inputs(args)
     T = float(args.T)
-    report = validate_integrability(model.jumps, payoff.growth_exponent(),
-                                    solver_cfg.beta, epsilon=0.1)
-    if not report.ok:
-        raise ModelRejected("integrability report contains a failure; see `validate`")
+    premium_mod.check_admissible(model, payoff, solver_cfg)
     grid, _, amer, eur = solve_pair(model, payoff, spot, T, solver_cfg)
     report = premium_mod.premium_identity(model, payoff, spot, T, solver_cfg, mc_cfg,
                                           solutions=(amer, eur))
@@ -157,12 +149,10 @@ def cmd_premium(args) -> int:
 def cmd_converge(args) -> int:
     model, payoff, spot, solver_cfg, mc_cfg = _load_inputs(args)
     T = float(args.T)
-    levels = []
-    for part in args.levels.split(";"):
-        ns, nt, npaths = (int(v) for v in part.split(","))
-        levels.append((ns, nt, npaths))
-    if len(levels) < 3:
-        raise ValueError("need at least 3 refinement levels")
+    levels = [tuple(int(v) for v in part.split(",")) for part in args.levels.split(";")]
+    if len(levels) < 3 or any(len(level) != 3 for level in levels):
+        raise ValueError("need at least 3 refinement levels, each n_space,n_time,n_paths")
+    premium_mod.check_admissible(model, payoff, solver_cfg)
     rows, diagnostics = [], []
     for i, (ns, nt, npaths) in enumerate(levels):
         t0 = time.perf_counter()

@@ -484,9 +484,12 @@ def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
     """Yield (start_index, log-path block) pairs in deterministic order.
 
     Block boundaries and substreams are fixed by the block size alone, so the
-    output never depends on the thread count.
+    output never depends on the thread count.  Every Monte Carlo estimator
+    simulates here, so here the spot's length is checked.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (model.dim,):
+        raise ValueError(f"spot has {x.size} coordinate(s) but the model has {model.dim} asset(s)")
     if np.any(x <= 0):
         raise InvalidDomain("initial prices must be strictly positive")
     if T <= s or n_steps < 1 or n_paths < 1:

@@ -27,10 +27,15 @@ MULTI_STRIKE = "multi_strike"
 POWER_PRODUCT = "power_product"
 CONSTANT = "constant"  # test-only payoff, not part of the public catalog
 
-CATALOG = (MIN_PUT, INDEX_PUT, SPREAD_PUT, INDEX_CALL, SPREAD_CALL,
-           MAX_CALL, MULTI_STRIKE, POWER_PRODUCT)
+# The JSON keys each kind takes besides "kind" and "dim", exactly; `_FIELDS`
+# names the Payoff field a key fills.  This table drives the constructor's
+# checks, `to_dict` and `payoff_from_dict`.
+KINDS = {MIN_PUT: ("K",), INDEX_PUT: ("K", "w"), SPREAD_PUT: ("K", "w"),
+         INDEX_CALL: ("K", "w"), SPREAD_CALL: ("K", "w"), MAX_CALL: ("K",),
+         MULTI_STRIKE: ("K",), POWER_PRODUCT: ("K", "gamma"), CONSTANT: ("c",)}
+_FIELDS = {"K": "strike", "w": "weights", "gamma": "gamma_pow", "c": "const"}
 
-_PUT_KINDS = (MIN_PUT, INDEX_PUT, SPREAD_PUT)
+CATALOG = tuple(kind for kind in KINDS if kind != CONSTANT)
 
 
 @dataclass(frozen=True)
@@ -43,23 +48,29 @@ class Payoff:
     const: float | None = None
 
     def __post_init__(self):
-        if self.kind not in CATALOG + (CONSTANT,):
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.weights is not None:
-            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-            if w.shape[0] != self.dim:
-                raise ValueError("weights length must match dim")
-            if self.kind == INDEX_PUT and np.any(w < 0):
-                raise ValueError("index put weights must be nonnegative")
-            object.__setattr__(self, "weights", w)
-        if self.kind == MULTI_STRIKE:
-            k = np.atleast_1d(np.asarray(self.strike, dtype=float))
-            if k.shape[0] != self.dim:
-                raise ValueError("multi-strike needs one strike per asset")
-            object.__setattr__(self, "strike", k)
-        elif self.strike is not None:
-            object.__setattr__(self, "strike", float(self.strike))
-        if self.kind == POWER_PRODUCT and (self.gamma_pow is None or self.gamma_pow <= 1):
+        """Check the fields against the kind's keys in `KINDS`: a missing or
+        unused key raises a ValueError naming the kind and the key."""
+        keys = KINDS.get(self.kind)
+        if keys is None:
+            raise ValueError(f"unknown payoff kind {self.kind!r}; known kinds: {', '.join(KINDS)}")
+        if self.dim is None:
+            raise ValueError(f"{self.kind} payoff needs key 'dim'")
+        object.__setattr__(self, "dim", int(self.dim))
+        for key, name in _FIELDS.items():
+            value = getattr(self, name)
+            if (value is None) == (key in keys):
+                raise ValueError(f"{self.kind} payoff {'needs' if value is None else 'takes no'} key {key!r}")
+            if value is None:
+                continue
+            vector = key == "w" or (key == "K" and self.kind == MULTI_STRIKE)
+            value = np.asarray(value, dtype=float)
+            value = np.atleast_1d(value) if vector else value
+            if value.shape != ((self.dim,) if vector else ()):
+                raise ValueError(f"{self.kind} payoff needs {self.dim if vector else 1} number(s) in key {key!r}")
+            object.__setattr__(self, name, value if vector else float(value))
+        if self.kind == INDEX_PUT and np.any(self.weights < 0):
+            raise ValueError("index put weights must be nonnegative")
+        if self.kind == POWER_PRODUCT and self.gamma_pow <= 1:
             raise ValueError("power-product exponent must exceed 1")
 
     # ------------------------------------------------------------------ #
@@ -100,11 +111,11 @@ class Payoff:
 
     @classmethod
     def constant(cls, c: float, dim: int) -> "Payoff":
-        return cls(kind=CONSTANT, dim=dim, const=float(c))
+        return cls(kind=CONSTANT, dim=dim, const=c)
 
     @property
     def is_put(self) -> bool:
-        return self.kind in _PUT_KINDS
+        return self.kind in (MIN_PUT, INDEX_PUT, SPREAD_PUT)
 
     # ------------------------------------------------------------------ #
     # psi and friends
@@ -115,6 +126,8 @@ class Payoff:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
         x = np.atleast_2d(x)
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"{self.kind} payoff on {self.dim} asset(s) at points of {x.shape[-1]}")
         k = self.kind
         if k == MIN_PUT:
             low = _across(np.minimum, x)
@@ -304,16 +317,9 @@ class Payoff:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "dim": self.dim}
-        if self.kind == MULTI_STRIKE:
-            out["K"] = np.asarray(self.strike).tolist()
-        elif self.strike is not None:
-            out["K"] = self.strike
-        if self.weights is not None:
-            out["w"] = self.weights.tolist()
-        if self.gamma_pow is not None:
-            out["gamma"] = self.gamma_pow
-        if self.const is not None:
-            out["c"] = self.const
+        for key in KINDS[self.kind]:
+            value = getattr(self, _FIELDS[key])
+            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
 
@@ -346,27 +352,12 @@ def _power_rate(payoff: Payoff, rates: Rates, gaussian: GaussianPart, printed: b
 
 
 def payoff_from_dict(spec: dict) -> Payoff:
-    kind = spec["kind"].lower()
-    dim = int(spec["dim"])
-    if kind == MIN_PUT:
-        return Payoff.min_put(spec["K"], dim)
-    if kind == INDEX_PUT:
-        return Payoff.index_put(spec["K"], spec["w"], dim)
-    if kind == SPREAD_PUT:
-        return Payoff.spread_put(spec["K"], spec["w"], dim)
-    if kind == INDEX_CALL:
-        return Payoff.index_call(spec["K"], spec["w"], dim)
-    if kind == SPREAD_CALL:
-        return Payoff.spread_call(spec["K"], spec["w"], dim)
-    if kind == MAX_CALL:
-        return Payoff.max_call(spec["K"], dim)
-    if kind == MULTI_STRIKE:
-        return Payoff.multi_strike(spec["K"], dim)
-    if kind == POWER_PRODUCT:
-        return Payoff.power_product(spec["K"], spec["gamma"], dim)
-    if kind == CONSTANT:
-        return Payoff.constant(spec["c"], dim)
-    raise ValueError(f"unknown payoff kind {kind!r}")
+    """The payoff of a JSON spec: "kind", "dim" and the kind's keys in `KINDS`."""
+    unknown = sorted(set(spec) - {"kind", "dim", *_FIELDS})
+    if unknown:
+        raise ValueError(f"unknown payoff key(s) {', '.join(unknown)}; known: kind, dim, {', '.join(_FIELDS)}")
+    return Payoff(kind=str(spec.get("kind", "")).lower(), dim=spec.get("dim"),
+                  **{name: spec.get(key) for key, name in _FIELDS.items()})
 
 
 def load_payoff(path) -> Payoff:

@@ -49,31 +49,44 @@ class PremiumReport:
         }
 
 
+def check_admissible(model: LevyModel, payoff: Payoff, solver_cfg: SolverConfig) -> None:
+    """Refuse a model whose jump law lacks the exponential moments the premium
+    identity rests on: p is the payoff's growth exponent, beta the solver's
+    weight exponent and epsilon 0.1.  Raises ModelRejected naming the failed
+    conditions, or ValueError when beta <= p."""
+    report = validate_integrability(model.jumps, payoff.growth_exponent(),
+                                    solver_cfg.beta, epsilon=0.1)
+    if not report.ok:
+        bad = [c.name for c in report.checks if not c.holds]
+        raise ModelRejected(f"integrability failures: {bad}; see `levypricer validate`")
+
+
 def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
                      solver_cfg: SolverConfig | None = None,
                      mc_cfg: MCConfig | None = None,
                      solutions: tuple[Solution, Solution] | None = None) -> PremiumReport:
     """Price both sides of the premium identity and assemble the report.
 
-    Refuses models whose integrability report contains a failure.  The
-    identity gap is |american - european - premium| at the solver's exercise
-    tolerance; the sensitivity map re-evaluates the Monte Carlo premium for
-    the band tolerances 1e-5, 1e-6, 1e-7 from the same paths.
+    Refuses inadmissible models (`check_admissible`) before any solve, and
+    `solutions` solved for another payoff or spot.  The identity gap is
+    |american - european - premium| at the solver's exercise tolerance; the
+    sensitivity map re-evaluates the Monte Carlo premium for the band
+    tolerances 1e-5, 1e-6, 1e-7 from the same paths.
     """
     solver_cfg = solver_cfg or SolverConfig()
     mc_cfg = mc_cfg or MCConfig()
-    report = validate_integrability(model.jumps, payoff.growth_exponent(),
-                                    solver_cfg.beta, epsilon=0.1)
-    if not report.ok:
-        bad = [c.name for c in report.checks if not c.holds]
-        raise ModelRejected(f"integrability failures: {bad}")
-
+    check_admissible(model, payoff, solver_cfg)
+    spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if solutions is None:
         _, _, american, european = solve_pair(model, payoff, spot, T, solver_cfg)
     else:
         american, european = solutions
         if american.kind != "american" or european.kind != "european":
             raise ValueError("expected (american, european) solutions")
+        for sol in solutions:
+            if sol.payoff.to_dict() != payoff.to_dict() or not np.array_equal(sol.grid.z_center, np.log(spot)):
+                raise ValueError(f"the {sol.kind} solution was solved for {sol.payoff.to_dict()} at spot "
+                                 f"{np.exp(sol.grid.z_center).tolist()}, not this payoff and spot")
 
     base_tol = american.exercise_tol
     tols = tuple(sorted(set(SENSITIVITY_TOLS) | {base_tol}, reverse=True))
@@ -89,7 +102,7 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
     spread = max(sensitivity.values()) - min(sensitivity.values())
     sensitive = spread >= tolerance
     passed = gap <= tolerance and not sensitive
-    inputs = {"spot": np.atleast_1d(np.asarray(spot, dtype=float)).tolist(), "T": T,
+    inputs = {"spot": spot.tolist(), "T": T,
               "solver": solver_cfg.to_dict(), "mc": mc_cfg.to_dict(),
               "payoff": payoff.to_dict()}
     return PremiumReport(american_pide=amer, european_pide=eur, premium_mc=premium,

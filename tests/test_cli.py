@@ -128,6 +128,26 @@ class TestPrice:
         assert code == 2
 
 
+    def test_payoff_model_dimension_mismatch(self, small_setup, tmp_path):
+        _, payoff, _, _, out = small_setup  # a 1-asset put on the 2-asset model
+        model = str(CONFIGS / "models" / "merton2d.json")
+        solver = _write(tmp_path, "small.json", {"n_space": 51, "n_time": 10, "beta": 5.0})
+        mc = _write(tmp_path, "few.json", {"n_paths": 1000, "n_steps": 10})
+        for method in ("pide", "mc"):
+            code = main(["price", "--model", model, "--payoff", payoff, "--spot", "100,100",
+                         "--T", "0.5", "--method", method, "--solver-config", solver,
+                         "--mc-config", mc])
+            assert code == 2, method
+
+    def test_payoff_spec_missing_key(self, small_setup, capsys):
+        model, _, _, _, out = small_setup
+        payoff = _write(out.parent, "no_strike.json", {"kind": "min_put", "dim": 1})
+        code = main(["price", "--model", model, "--payoff", payoff, "--spot", "100",
+                     "--T", "1.0", "--method", "mc"])
+        assert code == 2
+        assert "min_put payoff needs key 'K'" in capsys.readouterr().err
+
+
 class TestPremiumCommand:
     def test_report_and_boundary(self, small_setup, capsys):
         model, payoff, solver, mc, out = small_setup
@@ -160,6 +180,23 @@ class TestConverge:
         resid = [r["complementarity_maxnorm"] for r in rows]
         assert resid[0] / resid[1] >= 1.5 and resid[1] / resid[2] >= 1.5
         assert (out / "converge.csv").exists()
+
+    def test_rejected_model_solves_nothing(self, small_setup, monkeypatch, capsys):
+        _, payoff, _, _, out = small_setup
+        model = _write(out.parent, "kou.json", {
+            "dim": 1, "a": [[0.04]], "rates": {"r": 0.05, "delta": [0.0]},
+            "jumps": {"kind": "kou", "lambda": 0.3, "p_up": [0.4], "eta_plus": [10.0],
+                      "eta_minus": [5.0]}})
+        # 2 beta = 6 exceeds eta_minus = 5: the weighted second moment diverges
+        solver = _write(out.parent, "beta3.json", {"n_space": 101, "n_time": 20, "beta": 3.0})
+        calls = []
+        monkeypatch.setattr("levypricer.cli.solve_pair", lambda *a: calls.append(a))
+        code = main(["converge", "--model", model, "--payoff", payoff, "--spot", "100",
+                     "--T", "1.0", "--solver-config", solver,
+                     "--levels", "101,20,1000;201,40,2000;401,80,4000"])
+        assert code == 1
+        assert calls == []
+        assert "integrability failures" in capsys.readouterr().err
 
     def test_too_few_levels(self, small_setup):
         model, payoff, solver, mc, out = small_setup

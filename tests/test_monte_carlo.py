@@ -306,6 +306,26 @@ def small_american(merton_model, put_1d, merton2d_model, min_put_2d):
     return out
 
 
+class TestSpotAndPayoffDimension:
+    """Every estimator simulates through `simulate_log_blocks`, which checks
+    the spot's length; `Payoff.evaluate` checks the payoff's dimension."""
+
+    def test_short_spot_rejected_by_every_estimator(self, small_american):
+        model, payoff, _, amer = small_american["merton2d"]
+        estimators = [
+            lambda: price_european_mc(model, payoff, 0.0, [90.0], 0.5, 4000, 1),
+            lambda: price_american_ls(model, payoff, 0.0, [90.0], 0.5, 10, 4000, seed=1),
+            lambda: estimate_premium_mc(model, payoff, amer, 0.0, [90.0], 0.5, 4000, 10, seed=1),
+        ]
+        for estimate in estimators:
+            with pytest.raises(ValueError, match="spot has 1 coordinate"):
+                estimate()
+
+    def test_one_asset_payoff_on_two_asset_model(self, merton2d_model, put_1d):
+        with pytest.raises(ValueError, match="1 asset"):
+            price_european_mc(merton2d_model, put_1d, 0.0, [SPOT, SPOT], 0.5, 4000, 1)
+
+
 class TestPremiumCompaction:
     @pytest.mark.parametrize("n_threads", [1, 2])
     @pytest.mark.parametrize("case", ["merton1d", "merton2d"])

@@ -1,9 +1,13 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import levypricer as lp
+from levypricer.payoffs import KINDS
+
+PAYOFF_SPECS = sorted((pathlib.Path(__file__).parent.parent / "configs" / "payoffs").glob("*.json"))
 
 RATES_FLAT = lp.Rates(r=0.05, delta=[0.0, 0.0])
 G2 = lp.GaussianPart(a=[[0.04, 0.01], [0.01, 0.09]])
@@ -245,8 +249,42 @@ def test_payoff_json_roundtrip():
         spec = json.loads(json.dumps(p.to_dict()))
         again = lp.payoff_from_dict(spec)
         assert again.kind == p.kind
+        assert again.to_dict() == spec
         x = np.array([55.0, 70.0])
         assert again.evaluate(x) == p.evaluate(x)
+    assert PAYOFF_SPECS
+    for path in PAYOFF_SPECS:  # the shipped specs read back exactly
+        spec = json.loads(path.read_text())
+        assert lp.payoff_from_dict(spec).to_dict() == spec, path.name
+
+
+SPECS = {p.kind: p.to_dict() for p in catalog_payoffs() + [lp.Payoff.constant(5.0, 2)]}
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in KINDS.items()
+                                       for key in ("dim", *keys)])
+def test_spec_missing_a_key_names_kind_and_key(kind, key):
+    spec = {k: v for k, v in SPECS[kind].items() if k != key}
+    with pytest.raises(ValueError, match=f"{kind} payoff needs key '{key}'"):
+        lp.payoff_from_dict(spec)
+
+
+def test_spec_rejects_malformed_kind_and_keys():
+    with pytest.raises(ValueError, match="unknown payoff kind 'min_call'"):
+        lp.payoff_from_dict({"kind": "min_call", "dim": 1, "K": 100.0})
+    with pytest.raises(ValueError, match="min_put payoff takes no key 'w'"):
+        lp.payoff_from_dict({"kind": "min_put", "dim": 2, "K": 100.0, "w": [1.0, 1.0]})
+    with pytest.raises(ValueError, match="unknown payoff key.* weights"):
+        lp.payoff_from_dict({"kind": "index_put", "dim": 2, "K": 100.0, "weights": [1.0, 1.0]})
+    with pytest.raises(ValueError, match="min_put payoff needs 1 number.* 'K'"):
+        lp.payoff_from_dict({"kind": "min_put", "dim": 1, "K": [100.0]})
+
+
+def test_evaluate_rejects_points_of_another_dimension():
+    with pytest.raises(ValueError, match="1 asset"):
+        lp.Payoff.min_put(100.0, 1).evaluate(np.array([[90.0, 90.0]]))
+    with pytest.raises(ValueError, match="2 asset"):
+        lp.Payoff.max_call(100.0, 2).evaluate(np.array([90.0]))
 
 
 def test_constructor_validation():

@@ -25,6 +25,11 @@ class TestBuildGrid:
         grid = lp.build_grid(bs_model, put_1d, [SPOT], 1.0, 801, 400, beta=2.0)
         assert grid.axes[0][grid.center_index[0]] == pytest.approx(np.log(SPOT), abs=1e-12)
 
+    def test_one_asset_payoff_on_two_asset_model(self, merton2d_model, put_1d):
+        cfg = SolverConfig(n_space=51, n_time=10, beta=5.0, trunc_tol=1e-5)
+        with pytest.raises(ValueError, match="1 asset"):
+            lp.solve_pair(merton2d_model, put_1d, [SPOT, SPOT], 0.5, cfg)
+
     def test_beta_must_dominate_growth(self, bs_model):
         power = lp.Payoff.power_product(1.0, 2.0, 1)  # growth exponent 2
         with pytest.raises(lp.BetaTooSmall):

@@ -52,6 +52,15 @@ class TestPremiumIdentity:
             premium_identity(kou_model, put_1d, [SPOT], 1.0, cfg,
                              MCConfig(n_paths=1000, n_steps=20, seed=0))
 
+    @pytest.mark.parametrize("spot, payoff", [(95.0, lp.Payoff.min_put(100.0, 1)),
+                                              (SPOT, lp.Payoff.min_put(102.0, 1))])
+    def test_solutions_for_another_spot_or_payoff_rejected(self, bs_model, bs_cfg, bs_solves,
+                                                           spot, payoff):
+        _, _, amer, eur = bs_solves  # solved at spot 100 for K = 100
+        mc = MCConfig(n_paths=1000, n_steps=bs_cfg.n_time, seed=0)
+        with pytest.raises(ValueError, match="american solution was solved for"):
+            premium_identity(bs_model, payoff, [spot], 1.0, bs_cfg, mc, solutions=(amer, eur))
+
     def test_report_serializes(self, bs_report):
         blob = json.dumps(bs_report.to_dict())
         again = json.loads(blob)
