@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,16 +31,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-THREADS_ENV = "LEVYPRICER_THREADS"
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else None
-
-
 def _load_inputs(args):
     model = load_model(args.model)
     payoff = load_payoff(args.payoff)
@@ -50,9 +39,8 @@ def _load_inputs(args):
         if getattr(args, "solver_config", None) else SolverConfig()
     mc_cfg = MCConfig.from_dict(_read_json(args.mc_config)) \
         if getattr(args, "mc_config", None) else MCConfig()
-    n_threads = _threads(args)
-    if n_threads is not None:
-        mc_cfg = dataclasses.replace(mc_cfg, n_threads=n_threads)
+    if args.threads is not None:
+        mc_cfg = dataclasses.replace(mc_cfg, n_threads=args.threads)
     return model, payoff, spot, solver_cfg, mc_cfg
 
 
@@ -198,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mc-config", dest="mc_config", help="MC config JSON")
         p.add_argument("--out", help="output directory for artifacts")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${THREADS_ENV} or 1)")
+                       help="Monte Carlo worker threads (default: the MC config's n_threads, or 1)")
 
     v = sub.add_parser("validate", help="calibration and integrability checks")
     common(v, needs_payoff=False)

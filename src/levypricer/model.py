@@ -10,9 +10,11 @@ moment conditions the pricing theory needs, and exact-in-law path simulation.
 from __future__ import annotations
 
 import json
+import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -24,6 +26,18 @@ _PATH_BLOCK = 8192
 
 HOLDS_ANALYTIC = "holds analytically"
 FAILS = "fails"
+
+
+def corners(dim: int) -> list:
+    """The 2^dim corners of a lattice cell as 0/1 offsets, first axis fastest."""
+    return [tuple((c >> i) & 1 for i in range(dim)) for c in range(2 ** dim)]
+
+
+def whole_dim(dim) -> int:
+    """A spec's `dim`: an integer (a bool is not one) of at least 1."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"dim must be a whole number of at least 1, got {dim!r}")
+    return int(dim)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -206,14 +220,9 @@ class Empirical:
                 lo = int(np.clip(np.floor(pos), 0, shape[i] - 2))
                 idx_lo.append(lo)
                 frac.append(np.clip(pos - lo, 0.0, 1.0))
-            if len(axes) == 1:
-                out[idx_lo[0]] += prob * (1 - frac[0])
-                out[idx_lo[0] + 1] += prob * frac[0]
-            else:
-                for di in (0, 1):
-                    for dj in (0, 1):
-                        w = (frac[0] if di else 1 - frac[0]) * (frac[1] if dj else 1 - frac[1])
-                        out[idx_lo[0] + di, idx_lo[1] + dj] += prob * w
+            for corner in corners(len(axes)):
+                w = math.prod(f if c else 1 - f for f, c in zip(frac, corner))
+                out[tuple(lo + c for lo, c in zip(idx_lo, corner))] += prob * w
         return out
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
@@ -233,7 +242,7 @@ def _cdf_cell_masses(law, axes, dz) -> np.ndarray:
     the density discontinuity of double-exponential laws at zero."""
     per_axis = [law.component_cdf(ax + dz[i] / 2.0, i) - law.component_cdf(ax - dz[i] / 2.0, i)
                 for i, ax in enumerate(axes)]
-    return per_axis[0] if len(axes) == 1 else np.outer(per_axis[0], per_axis[1])
+    return reduce(np.multiply.outer, per_axis)
 
 
 JumpLaw = MertonNormal | KouDoubleExponential | Empirical
@@ -509,9 +518,13 @@ def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
         for idx in range(len(starts)):
             yield run(idx)
     else:
+        # at most n_threads blocks are simulated ahead of the consumer
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for result in pool.map(run, range(len(starts))):
-                yield result
+            ahead = deque(pool.submit(run, idx) for idx in range(min(n_threads, len(starts))))
+            for idx in range(n_threads, len(starts) + n_threads):
+                yield ahead.popleft().result()
+                if idx < len(starts):
+                    ahead.append(pool.submit(run, idx))
 
 
 def simulate_paths(model: LevyModel, s: float, x, T: float, n_steps: int,
@@ -560,7 +573,7 @@ def model_from_dict(spec: dict) -> LevyModel:
     rates = Rates(r=float(spec["rates"]["r"]), delta=spec["rates"]["delta"])
     jumps = jumps_from_dict(spec.get("jumps", {"kind": "none"}))
     model = LevyModel.build(gaussian, jumps, rates)
-    if model.dim != int(spec["dim"]):
+    if model.dim != whole_dim(spec["dim"]):
         raise ValueError("declared dim disagrees with matrix shapes")
     return model
 

@@ -25,8 +25,7 @@ class Estimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr,
-                "n_paths": self.n_paths, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -222,17 +221,16 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
     times = grid.times
     r = model.rates.r
     tols = sorted(set(exercise_tols), reverse=True)  # bands nest: the first is the widest
-    integrals = {tol: np.empty(n_paths) for tol in exercise_tols}
+    integrals = {tol: np.zeros(n_paths) for tol in exercise_tols}
     exited_total = 0
     for lo, block in simulate_log_blocks(model, np.asarray(x, dtype=float), s, T,
                                          n_steps, n_paths, seed, n_threads=n_threads):
         nb = block.shape[0]
-        acc = {tol: np.zeros(nb) for tol in exercise_tols}
         inside = np.ones(nb, dtype=bool)
         for k in range(n_steps):
             zk = np.ascontiguousarray(block[:, k, :])  # one strided gather, contiguous reads
             inside &= _across(np.logical_and, (zk >= grid.z_min) & (zk <= grid.z_max))
-            rows = np.flatnonzero(inside)
+            rows = np.flatnonzero(inside)  # block rows; paths lo + rows
             if not rows.size:
                 break
             zin = zk[rows]
@@ -250,10 +248,8 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
             payload = np.exp(-r * times[k]) * (psim > 0) * (psim - jf) * dt
             for tol in tols:
                 in_band = gap <= tol * scale
-                acc[tol][rows[sel[in_band]]] += payload[in_band]
+                integrals[tol][lo + rows[sel[in_band]]] += payload[in_band]
         exited_total += int(nb - inside.sum())
-        for tol in exercise_tols:
-            integrals[tol][lo:lo + nb] = acc[tol]
     exit_fraction = exited_total / n_paths
     if exit_fraction >= 1e-3:
         raise GridCoverageTooSmall(f"exit fraction {exit_fraction:.2e} >= 1e-3")

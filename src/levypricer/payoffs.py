@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KinkTooClose, TieBreak
-from .model import GaussianPart, Rates
+from .model import GaussianPart, Rates, whole_dim
 
 MIN_PUT = "min_put"
 INDEX_PUT = "index_put"
@@ -55,7 +55,7 @@ class Payoff:
             raise ValueError(f"unknown payoff kind {self.kind!r}; known kinds: {', '.join(KINDS)}")
         if self.dim is None:
             raise ValueError(f"{self.kind} payoff needs key 'dim'")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", whole_dim(self.dim))
         for key, name in _FIELDS.items():
             value = getattr(self, name)
             if (value is None) == (key in keys):
@@ -140,9 +140,8 @@ class Payoff:
             out = np.maximum(self.strike - x @ self.weights, 0.0)
         elif k in (INDEX_CALL, SPREAD_CALL):
             out = np.maximum(x @ self.weights - self.strike, 0.0)
-        elif k == MAX_CALL:
-            out = np.maximum(_across(np.maximum, x) - self.strike, 0.0)
-        elif k == MULTI_STRIKE:
+        elif k in (MAX_CALL, MULTI_STRIKE):
+            # max(x - K) == max(x) - K bit for bit: rounding is monotone
             out = np.maximum(_across(np.maximum, x - self.strike), 0.0)
         elif k == POWER_PRODUCT:
             out = np.maximum(np.abs(np.prod(x, axis=-1)) ** self.gamma_pow - self.strike, 0.0)
@@ -188,23 +187,16 @@ class Payoff:
             ties = self.tie_mask(x) & pos
             if np.any(ties):
                 raise TieBreak(f"{int(ties.sum())} query point(s) on a tie set of {k}")
-
-        if k == MIN_PUT:
-            idx = np.argmin(x, axis=-1)
+            # +-(delta_m x_m - r K_m) at m = argmin x, argmax x or argmax x - K
+            v = x - self.strike if k == MULTI_STRIKE else x
+            idx = np.argmin(v, axis=-1) if k == MIN_PUT else np.argmax(v, axis=-1)
             active = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
-            raw = r * self.strike - delta[idx] * active
+            gain, cost = delta[idx] * active, r * np.broadcast_to(self.strike, (self.dim,))[idx]
+            raw = cost - gain if k == MIN_PUT else gain - cost
         elif k in (INDEX_PUT, SPREAD_PUT):
             raw = r * self.strike - np.sum(self.weights * delta * x, axis=-1)
         elif k in (INDEX_CALL, SPREAD_CALL):
             raw = np.sum(self.weights * delta * x, axis=-1) - r * self.strike
-        elif k == MAX_CALL:
-            idx = np.argmax(x, axis=-1)
-            active = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
-            raw = delta[idx] * active - r * self.strike
-        elif k == MULTI_STRIKE:
-            idx = np.argmax(x - self.strike, axis=-1)
-            active = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
-            raw = delta[idx] * active - r * np.asarray(self.strike)[idx]
         elif k == POWER_PRODUCT:
             raw = _power_rate(self, rates, gaussian, printed_power_coeff) \
                 * np.prod(x, axis=-1) ** self.gamma_pow - r * self.strike
@@ -223,19 +215,13 @@ class Payoff:
         x = np.asarray(x, dtype=float)
         k = self.kind
         margins = [np.abs(x).min()] if k in (MIN_PUT, INDEX_PUT) else []
-        if k == MIN_PUT:
-            margins.append(abs(self.strike - x.min()))
-            margins += [_pair_gap(x)] if self.dim > 1 else []
+        if k in (MIN_PUT, MAX_CALL, MULTI_STRIKE):
+            v = x - self.strike  # min or max of x - K == that of x, minus K: rounding is monotone
+            margins.append(abs(v.min() if k == MIN_PUT else v.max()))
+            margins += [_pair_gap(v if k == MULTI_STRIKE else x)] if self.dim > 1 else []
         elif k in (INDEX_PUT, SPREAD_PUT, INDEX_CALL, SPREAD_CALL):
             wl = np.linalg.norm(self.weights)
             margins.append(abs(self.strike - x @ self.weights) / max(wl, 1e-300))
-        elif k == MAX_CALL:
-            margins.append(abs(x.max() - self.strike))
-            margins += [_pair_gap(x)] if self.dim > 1 else []
-        elif k == MULTI_STRIKE:
-            v = x - self.strike
-            margins.append(abs(v.max()))
-            margins += [_pair_gap(v)] if self.dim > 1 else []
         elif k == POWER_PRODUCT:
             f = np.abs(np.prod(x)) ** self.gamma_pow
             grad = self.gamma_pow * f / np.maximum(np.abs(x), 1e-300)

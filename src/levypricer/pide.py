@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
                      PenaltyNonMonotone, QuadratureTailTooHeavy, SchemeNotMonotone)
-from .model import LevyModel
+from .model import LevyModel, corners
 from .payoffs import Payoff
 
 if TYPE_CHECKING:
@@ -199,8 +199,6 @@ class DiscreteOperator:
 
     def convolve(self, extended: np.ndarray) -> np.ndarray:
         """sum_c K[c] u(z + y_c) on the core lattice, from an extended array."""
-        if self.lam == 0:
-            return np.zeros(self.grid.shape)
         if self.grid.dim == 1:
             return np.convolve(extended, self.stencil[::-1], "valid")
         from scipy.fft import irfftn, rfftn
@@ -222,8 +220,6 @@ class DiscreteOperator:
 
     def extend(self, core: np.ndarray, ring_values: np.ndarray) -> np.ndarray:
         """The core field inside the far-field values of the ring around it."""
-        if self.lam == 0:
-            return core
         out = np.empty(self._ring.shape)
         out[self._ring] = ring_values
         out[tuple(slice(m, m + self.grid.n_space) for m in self.offsets)] = core
@@ -396,7 +392,8 @@ class Solution:
 
 
 def interp_level(solution_field: np.ndarray, grid: Grid, level: int, zq: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of `solution_field[level]` at query log-points (n, d)."""
+    """Multilinear interpolation of `solution_field[level]` at query log-points (n, d):
+    the sum over the 2^d cell corners, first axis fastest, of value * weights."""
     level_values = solution_field[level]
     idx, frac = [], []
     for i in range(grid.dim):
@@ -404,16 +401,12 @@ def interp_level(solution_field: np.ndarray, grid: Grid, level: int, zq: np.ndar
         lo = np.clip(np.floor(pos).astype(int), 0, grid.n_space - 2)
         idx.append(lo)
         frac.append(pos - lo)
-    if grid.dim == 1:
-        lo, f = idx[0], frac[0]
-        out = level_values[lo] * (1 - f) + level_values[lo + 1] * f
-    else:
-        i0, j0 = idx
-        fi, fj = frac
-        out = (level_values[i0, j0] * (1 - fi) * (1 - fj)
-               + level_values[i0 + 1, j0] * fi * (1 - fj)
-               + level_values[i0, j0 + 1] * (1 - fi) * fj
-               + level_values[i0 + 1, j0 + 1] * fi * fj)
+    out = None
+    for corner in corners(grid.dim):
+        term = level_values[tuple(lo + c for lo, c in zip(idx, corner))]
+        for f, c in zip(frac, corner):
+            term = term * (f if c else 1 - f)
+        out = term if out is None else out + term
     return out
 
 

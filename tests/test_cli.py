@@ -121,6 +121,23 @@ class TestPrice:
         assert code == 2
         assert "n_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [2.5, [2], True])
+    def test_fractional_list_or_bool_dim_is_a_usage_error(self, tmp_path, capsys, dim):
+        # a payoff with "dim": 2.5 once priced as 2 assets with exit 0
+        payoff = _write(tmp_path, "payoff.json", {"kind": "min_put", "dim": dim, "K": 100.0})
+        mc = _write(tmp_path, "few.json", {"n_paths": 1000, "n_steps": 10})
+        code = main(["price", "--model", str(CONFIGS / "models" / "merton2d.json"),
+                     "--payoff", payoff, "--spot", "100,100", "--T", "0.5",
+                     "--method", "mc", "--mc-config", mc])
+        assert code == 2
+        assert "dim must be a whole number" in capsys.readouterr().err
+        n = 1 if dim is True else 2  # as int(dim), each was accepted on n assets
+        model = _write(tmp_path, "model.json", {
+            "dim": dim, "a": [[0.04 if i == j else 0.0 for j in range(n)] for i in range(n)],
+            "rates": {"r": 0.05, "delta": [0.0] * n}})
+        assert main(["validate", "--model", model]) == 2
+        assert "dim must be a whole number" in capsys.readouterr().err
+
     def test_spot_dimension_mismatch(self, small_setup):
         model, payoff, solver, mc, out = small_setup
         code = main(["price", "--model", model, "--payoff", payoff,

@@ -1,10 +1,13 @@
 import json
 import pathlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import levypricer as lp
+import levypricer.model as model_mod
 from levypricer.model import FAILS, HOLDS_ANALYTIC
 
 MODEL_CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs" / "models").glob("*.json"))
@@ -186,6 +189,31 @@ class TestSimulatePaths:
         with pytest.raises(lp.InvalidDomain):
             lp.simulate_paths(bs_model, 0.0, [-1.0], 1.0, 1, 10, seed=0)
 
+    @pytest.mark.parametrize("n_threads", [2, 3])
+    def test_pool_simulates_at_most_n_threads_blocks_ahead(self, merton_model, monkeypatch,
+                                                           n_threads):
+        # a slow consumer must not let simulated blocks pile up in memory
+        lock = threading.Lock()
+        count = {"started": 0, "yielded": 0, "ahead": 0}
+        simulate_block = model_mod._simulate_block
+
+        def counted(*args):
+            with lock:
+                count["started"] += 1
+                count["ahead"] = max(count["ahead"], count["started"] - count["yielded"])
+            return simulate_block(*args)
+
+        monkeypatch.setattr(model_mod, "_simulate_block", counted)
+        n_blocks = 8
+        for _ in model_mod.simulate_log_blocks(merton_model, [100.0], 0.0, 1.0, 1,
+                                               n_blocks * model_mod._PATH_BLOCK, seed=3,
+                                               n_threads=n_threads):
+            with lock:
+                count["yielded"] += 1
+            time.sleep(0.02)
+        assert count["started"] == count["yielded"] == n_blocks
+        assert count["ahead"] <= n_threads
+
 
 @pytest.mark.parametrize("jumps, probs, dz", [
     ([[0.1], [-0.08], [0.037]], [0.5, 0.3, 0.2], [0.013]),
@@ -200,6 +228,29 @@ def test_empirical_cell_masses_keep_mass_and_first_moment(jumps, probs, dz):
     assert abs(masses.sum() - 1.0) <= 1e-15
     for i in range(law.dim):
         assert abs((masses * nodes[i]).sum() - law.probs @ law.jumps[:, i]) <= 1e-15
+    assert masses.tobytes() == _split_atoms_by_dimension(law, axes, dz).tobytes()
+
+
+def _split_atoms_by_dimension(law, axes, dz):
+    """Reference: the cell masses written out separately for one and two axes."""
+    shape = tuple(len(ax) for ax in axes)
+    out = np.zeros(shape)
+    for atom, prob in zip(law.jumps, law.probs):
+        idx_lo, frac = [], []
+        for i, ax in enumerate(axes):
+            pos = (atom[i] - ax[0]) / dz[i]
+            lo = int(np.clip(np.floor(pos), 0, shape[i] - 2))
+            idx_lo.append(lo)
+            frac.append(np.clip(pos - lo, 0.0, 1.0))
+        if len(axes) == 1:
+            out[idx_lo[0]] += prob * (1 - frac[0])
+            out[idx_lo[0] + 1] += prob * frac[0]
+        else:
+            for di in (0, 1):
+                for dj in (0, 1):
+                    w = (frac[0] if di else 1 - frac[0]) * (frac[1] if dj else 1 - frac[1])
+                    out[idx_lo[0] + di, idx_lo[1] + dj] += prob * w
+    return out
 
 
 class TestConstruction:
@@ -250,6 +301,15 @@ def test_model_json_roundtrip(merton_model, kou_model):
         out = lp.model_to_dict(lp.model_from_dict(spec))
         assert {key: out[key] for key in spec} == spec
         assert lp.model_to_dict(lp.model_from_dict(json.loads(json.dumps(out)))) == out
+
+
+@pytest.mark.parametrize("dim", [2.5, [2], True, "2", 0, None])
+def test_model_dim_must_be_a_whole_number(dim):
+    spec = {"dim": dim, "a": [[0.04, 0.0], [0.0, 0.04]],
+            "rates": {"r": 0.05, "delta": [0.0, 0.0]}}
+    with pytest.raises(ValueError, match="dim must be a whole number"):
+        lp.model_from_dict(spec)
+    assert lp.model_from_dict({**spec, "dim": np.int64(2)}).dim == 2
 
 
 def test_merton_cholesky_factored_once_per_law():

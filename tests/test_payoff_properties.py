@@ -1,10 +1,13 @@
-"""Property tests: the column folds of `Payoff` against axis reductions.
+"""Property tests: the column folds of `Payoff` against axis reductions, and
+the shared best-of branches against per-kind ones.
 
 `evaluate`, `tie_mask` and `psi_minus` fold min, max and the tie count over
 the asset axis one column at a time.  The references below reduce over the
 axis with numpy (`x.min(axis=-1)`, `np.sort`); min, max and comparisons are
 exact, so every result must be bitwise equal, ties, zeros and negative
-coordinates included.
+coordinates included.  `psi_minus` and `smoothness_margin` treat min-put,
+max-call and multi-strike in one branch; the references spell out one branch
+per kind, and the results must be bitwise equal too.
 """
 
 from unittest import mock
@@ -17,7 +20,8 @@ from hypothesis.extra import numpy as hnp
 
 import levypricer as lp
 from levypricer.payoffs import (INDEX_CALL, INDEX_PUT, MAX_CALL, MIN_PUT, MULTI_STRIKE,
-                                POWER_PRODUCT, SPREAD_CALL, SPREAD_PUT, Payoff)
+                                POWER_PRODUCT, SPREAD_CALL, SPREAD_PUT, Payoff, _pair_gap,
+                                _power_rate)
 
 
 def reference_evaluate(self, x):
@@ -55,6 +59,67 @@ def reference_tie_mask(self, x):
     return srt[..., -1] == srt[..., -2]
 
 
+def reference_psi_minus(self, x, rates, gaussian):
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 1
+    x = np.atleast_2d(x)
+    psi = np.atleast_1d(self.evaluate(x))
+    pos = psi > 0
+    r, delta, k = rates.r, rates.delta, self.kind
+    if k in (MIN_PUT, MAX_CALL, MULTI_STRIKE):
+        ties = self.tie_mask(x) & pos
+        if np.any(ties):
+            raise lp.TieBreak(f"{int(ties.sum())} query point(s) on a tie set of {k}")
+    if k == MIN_PUT:
+        idx = np.argmin(x, axis=-1)
+        active = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
+        raw = r * self.strike - delta[idx] * active
+    elif k in (INDEX_PUT, SPREAD_PUT):
+        raw = r * self.strike - np.sum(self.weights * delta * x, axis=-1)
+    elif k in (INDEX_CALL, SPREAD_CALL):
+        raw = np.sum(self.weights * delta * x, axis=-1) - r * self.strike
+    elif k == MAX_CALL:
+        idx = np.argmax(x, axis=-1)
+        active = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
+        raw = delta[idx] * active - r * self.strike
+    elif k == MULTI_STRIKE:
+        idx = np.argmax(x - self.strike, axis=-1)
+        active = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
+        raw = delta[idx] * active - r * np.asarray(self.strike)[idx]
+    else:
+        assert k == POWER_PRODUCT
+        raw = _power_rate(self, rates, gaussian, False) \
+            * np.prod(x, axis=-1) ** self.gamma_pow - r * self.strike
+    out = np.where(pos, np.maximum(raw, 0.0), 0.0)
+    return out[0] if scalar else out
+
+
+def reference_smoothness_margin(self, x):
+    x = np.asarray(x, dtype=float)
+    k = self.kind
+    margins = [np.abs(x).min()] if k in (MIN_PUT, INDEX_PUT) else []
+    if k == MIN_PUT:
+        margins.append(abs(self.strike - x.min()))
+        margins += [_pair_gap(x)] if self.dim > 1 else []
+    elif k in (INDEX_PUT, SPREAD_PUT, INDEX_CALL, SPREAD_CALL):
+        wl = np.linalg.norm(self.weights)
+        margins.append(abs(self.strike - x @ self.weights) / max(wl, 1e-300))
+    elif k == MAX_CALL:
+        margins.append(abs(x.max() - self.strike))
+        margins += [_pair_gap(x)] if self.dim > 1 else []
+    elif k == MULTI_STRIKE:
+        v = x - self.strike
+        margins.append(abs(v.max()))
+        margins += [_pair_gap(v)] if self.dim > 1 else []
+    else:
+        assert k == POWER_PRODUCT
+        f = np.abs(np.prod(x)) ** self.gamma_pow
+        grad = self.gamma_pow * f / np.maximum(np.abs(x), 1e-300)
+        margins.append(abs(f - self.strike) / max(np.linalg.norm(grad), 1e-300))
+        margins.append(np.abs(x).min())
+    return float(min(margins))
+
+
 def catalog(dim):
     w = [0.6, 0.4] if dim == 2 else [1.0]
     diff = [1.0, -1.0] if dim == 2 else [1.0]
@@ -83,10 +148,10 @@ def _same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _psi_minus_or_tie(payoff, x):
+def _psi_minus_or_tie(payoff, x, psi_minus=Payoff.psi_minus):
     """Psi^- at x, or None where it raises on a tie."""
     try:
-        return payoff.psi_minus(x, RATES[payoff.dim], GAUSS[payoff.dim])
+        return psi_minus(payoff, x, RATES[payoff.dim], GAUSS[payoff.dim])
     except lp.TieBreak:
         return None
 
@@ -101,9 +166,13 @@ def test_folds_match_axis_reductions(payoff, data):
         assert _same(payoff.evaluate(x[0]), reference_evaluate(payoff, x[0]))
         assert _same(payoff.tie_mask(x), reference_tie_mask(payoff, x))
         got = _psi_minus_or_tie(payoff, x)
+        per_kind = _psi_minus_or_tie(payoff, x, reference_psi_minus)
+        assert _same([payoff.smoothness_margin(row) for row in x],
+                     [reference_smoothness_margin(payoff, row) for row in x])
         with mock.patch.object(Payoff, "evaluate", reference_evaluate), \
                 mock.patch.object(Payoff, "tie_mask", reference_tie_mask):
             want = _psi_minus_or_tie(payoff, x)
-    assert (got is None) == (want is None)
+    assert (got is None) == (want is None) == (per_kind is None)
     if want is not None:
         assert _same(got, want)
+        assert _same(got, per_kind)

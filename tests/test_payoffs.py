@@ -280,6 +280,16 @@ def test_spec_rejects_malformed_kind_and_keys():
         lp.payoff_from_dict({"kind": "min_put", "dim": 1, "K": [100.0]})
 
 
+@pytest.mark.parametrize("dim", [2.5, [2], True, "2", 0, -1])
+def test_spec_dim_must_be_a_whole_number(dim):
+    # a fractional dim once priced silently as its integer part
+    with pytest.raises(ValueError, match="dim must be a whole number"):
+        lp.payoff_from_dict({"kind": "min_put", "dim": dim, "K": 100.0})
+    with pytest.raises(ValueError, match="dim must be a whole number"):
+        lp.Payoff.max_call(100.0, dim)
+    assert lp.Payoff.min_put(100.0, np.int64(2)).dim == 2
+
+
 def test_evaluate_rejects_points_of_another_dimension():
     with pytest.raises(ValueError, match="1 asset"):
         lp.Payoff.min_put(100.0, 1).evaluate(np.array([[90.0, 90.0]]))

@@ -504,6 +504,40 @@ class TestInterpolate:
         assert out.shape == (2,)
         assert out[0] > out[1]  # put value decreasing in price
 
+    @pytest.mark.parametrize("solves", ["merton_solves", "minput2d_solves"])
+    def test_level_interp_matches_per_dimension_formulas(self, solves, request):
+        # random points, points clamped beyond both grid ends, and the nodes
+        grid, _, amer, _ = request.getfixturevalue(solves)
+        rng = np.random.default_rng(17)
+        span = grid.z_max - grid.z_min
+        zq = np.concatenate([
+            rng.uniform(grid.z_min - 0.1 * span, grid.z_max + 0.1 * span, (20_000, grid.dim)),
+            np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)])
+        for field in (amer.values, amer.jump_field):
+            for k in (0, grid.n_time // 2, grid.n_time):
+                got = interp_level(field, grid, k, zq)
+                assert got.tobytes() == _interp_level_by_dimension(field, grid, k, zq).tobytes()
+
+
+def _interp_level_by_dimension(solution_field, grid, level, zq):
+    """Reference: the linear (1D) and bilinear (2D) formulas written out."""
+    level_values = solution_field[level]
+    idx, frac = [], []
+    for i in range(grid.dim):
+        pos = (zq[:, i] - grid.z_min[i]) / grid.dz[i]
+        lo = np.clip(np.floor(pos).astype(int), 0, grid.n_space - 2)
+        idx.append(lo)
+        frac.append(pos - lo)
+    if grid.dim == 1:
+        lo, f = idx[0], frac[0]
+        return level_values[lo] * (1 - f) + level_values[lo + 1] * f
+    i0, j0 = idx
+    fi, fj = frac
+    return (level_values[i0, j0] * (1 - fi) * (1 - fj)
+            + level_values[i0 + 1, j0] * fi * (1 - fj)
+            + level_values[i0, j0 + 1] * (1 - fi) * fj
+            + level_values[i0 + 1, j0 + 1] * fi * fj)
+
 
 class TestTwoDimensional:
     def test_solved_at_spot(self, minput2d_solves):
