@@ -5,7 +5,7 @@ early-exercise premium identity."""
 from .errors import (BetaTooSmall, GridCoverageTooSmall, InvalidDomain, KinkTooClose,
                      LinearSolveFailure, ModelRejected, NewtonStall, NonIntegrableJump,
                      OutOfDomain, PenaltyNonMonotone, PricingError,
-                     QuadratureTailTooHeavy, SchemeNotMonotone, TieBreak)
+                     QuadratureTailTooHeavy, SchemeNotMonotone)
 from .model import (Empirical, GaussianPart, JumpSpec, KouDoubleExponential,
                     LevyModel, MertonNormal, PathSet, Rates, ValidationReport,
                     calibrate_drift, exp_moment, load_model, model_from_dict,
@@ -16,7 +16,6 @@ from .payoffs import Payoff, load_payoff, payoff_from_dict
 from .pide import (DiscreteOperator, Grid, Solution, SolverConfig, apply_jump_operator,
                    assemble, build_grid, complementarity_residual, export_solution_csv,
                    interpolate, solve_american_penalty, solve_european, solve_pair)
-from .premium import (PremiumReport, RegionReport, boundary_curve,
-                      exercise_region_report, premium_identity)
+from .premium import PremiumReport, boundary_curve, premium_identity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -184,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--T", required=True, help="maturity in years")
             p.add_argument("--solver-config", dest="solver_config", help="solver config JSON")
             p.add_argument("--mc-config", dest="mc_config", help="MC config JSON")
+            p.add_argument("--threads", type=int, default=None,
+                           help="Monte Carlo worker threads (default: the MC config's n_threads, or 1)")
         p.add_argument("--out", help="output directory for artifacts")
-        p.add_argument("--threads", type=int, default=None,
-                       help="Monte Carlo worker threads (default: the MC config's n_threads, or 1)")
 
     v = sub.add_parser("validate", help="calibration and integrability checks")
     common(v, needs_payoff=False)

@@ -17,10 +17,6 @@ class BetaTooSmall(PricingError):
     """Weight exponent does not dominate the payoff growth exponent."""
 
 
-class TieBreak(PricingError):
-    """Active-index set of a min/max payoff is ambiguous at the query point."""
-
-
 class KinkTooClose(PricingError):
     """Finite-difference check requested too close to a kink or tie set."""
 

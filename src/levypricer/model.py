@@ -13,7 +13,7 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 
 import numpy as np
@@ -33,11 +33,12 @@ def corners(dim: int) -> list:
     return [tuple((c >> i) & 1 for i in range(dim)) for c in range(2 ** dim)]
 
 
-def whole_dim(dim) -> int:
-    """A spec's `dim`: an integer (a bool is not one) of at least 1."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a whole number of at least 1, got {dim!r}")
-    return int(dim)
+def whole_number(value, name: str, minimum: int) -> int:
+    """`value` as an int: an integer (a bool is not one) of at least `minimum`,
+    else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -340,26 +341,21 @@ class LevyModel:
     gaussian: GaussianPart
     jumps: JumpSpec
     rates: Rates
-    log_drift: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.gaussian.dim != self.dim or self.rates.delta.shape[0] != self.dim:
             raise ValueError("component dimensions disagree")
         if self.jumps.active and self.jumps.law.dim != self.dim:
             raise ValueError("jump law dimension disagrees")
-        b = self.log_drift
-        if b is None:
-            b = calibrate_drift(self.gaussian, self.jumps, self.rates)
-        object.__setattr__(self, "log_drift", np.atleast_1d(np.asarray(b, dtype=float)))
 
     @classmethod
     def build(cls, gaussian: GaussianPart, jumps: JumpSpec, rates: Rates) -> "LevyModel":
         return cls(dim=gaussian.dim, gaussian=gaussian, jumps=jumps, rates=rates)
 
-    def martingale_gap(self) -> float:
-        """Max deviation of the stored drift from the calibrated one."""
-        b = calibrate_drift(self.gaussian, self.jumps, self.rates)
-        return float(np.abs(self.log_drift - b).max())
+    @cached_property
+    def log_drift(self) -> np.ndarray:
+        """The calibrated log-price drift (`calibrate_drift`), computed once per model."""
+        return calibrate_drift(self.gaussian, self.jumps, self.rates)
 
 
 # --------------------------------------------------------------------------- #
@@ -490,19 +486,23 @@ def _simulate_block(model: LevyModel, log_x: np.ndarray, dt: float, n_steps: int
 def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
                         n_steps: int, n_paths: int, seed: int,
                         stream: int = 0, n_threads: int | None = None):
-    """Yield (start_index, log-path block) pairs in deterministic order.
+    """An iterator of (start_index, log-path block) pairs in deterministic order.
 
     Block boundaries and substreams are fixed by the block size alone, so the
     output never depends on the thread count.  Every Monte Carlo estimator
-    simulates here, so here the spot's length is checked.
+    simulates here, so here the spot's length and the step, path and thread
+    counts (None: 1 thread) are checked: at the call, before any block is
+    simulated, so a caller may size its arrays by them once this returns.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.dim,):
         raise ValueError(f"spot has {x.size} coordinate(s) but the model has {model.dim} asset(s)")
     if np.any(x <= 0):
         raise InvalidDomain("initial prices must be strictly positive")
-    if T <= s or n_steps < 1 or n_paths < 1:
-        raise ValueError("need T > s, n_steps >= 1, n_paths >= 1")
+    if T <= s:
+        raise ValueError("need T > s")
+    n_steps, n_paths = whole_number(n_steps, "n_steps", 1), whole_number(n_paths, "n_paths", 1)
+    n_threads = 1 if n_threads is None else whole_number(n_threads, "n_threads", 1)
     dt = (T - s) / n_steps
     log_x = np.log(x)
     starts = list(range(0, n_paths, _PATH_BLOCK))
@@ -513,11 +513,7 @@ def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
         rng = _block_rng(seed, stream, block_idx)
         return lo, _simulate_block(model, log_x, dt, n_steps, rng, n_block)
 
-    n_threads = max(1, int(n_threads or 1))
-    if n_threads == 1 or len(starts) == 1:
-        for idx in range(len(starts)):
-            yield run(idx)
-    else:
+    def pooled():
         # at most n_threads blocks are simulated ahead of the consumer
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             ahead = deque(pool.submit(run, idx) for idx in range(min(n_threads, len(starts))))
@@ -526,10 +522,11 @@ def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
                 if idx < len(starts):
                     ahead.append(pool.submit(run, idx))
 
+    return map(run, range(len(starts))) if n_threads == 1 or len(starts) == 1 else pooled()
+
 
 def simulate_paths(model: LevyModel, s: float, x, T: float, n_steps: int,
-                   n_paths: int, seed: int, n_threads: int | None = None,
-                   stream: int = 0) -> PathSet:
+                   n_paths: int, seed: int, n_threads: int | None = None) -> PathSet:
     """Simulate price paths on a uniform grid over [s, T].
 
     Each step is exact in law: Gaussian increment plus a Poisson number of
@@ -537,9 +534,9 @@ def simulate_paths(model: LevyModel, s: float, x, T: float, n_steps: int,
     PathSet regardless of thread count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    blocks = simulate_log_blocks(model, x, s, T, n_steps, n_paths, seed, n_threads=n_threads)
     paths = np.empty((n_paths, n_steps + 1, model.dim))
-    for lo, block in simulate_log_blocks(model, x, s, T, n_steps, n_paths, seed,
-                                         stream=stream, n_threads=n_threads):
+    for lo, block in blocks:
         paths[lo:lo + block.shape[0]] = np.exp(block)
     paths[:, 0, :] = x  # exact initial condition, no exp/log roundtrip
     times = s + (T - s) * np.arange(n_steps + 1) / n_steps
@@ -573,7 +570,7 @@ def model_from_dict(spec: dict) -> LevyModel:
     rates = Rates(r=float(spec["rates"]["r"]), delta=spec["rates"]["delta"])
     jumps = jumps_from_dict(spec.get("jumps", {"kind": "none"}))
     model = LevyModel.build(gaussian, jumps, rates)
-    if model.dim != whole_dim(spec["dim"]):
+    if model.dim != whole_number(spec["dim"], "dim", 1):
         raise ValueError("declared dim disagrees with matrix shapes")
     return model
 

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import GridCoverageTooSmall, OutOfDomain
-from .model import LevyModel, simulate_log_blocks
+from .model import LevyModel, simulate_log_blocks, whole_number
 from .payoffs import Payoff, _across
 from .pide import Solution, config_fields, interp_level
 
@@ -56,9 +56,10 @@ def price_european_mc(model: LevyModel, payoff: Payoff, s: float, x, T: float,
                       n_paths: int, seed: int, n_threads: int | None = None) -> Estimate:
     """Discounted mean of psi(X_T); one exact step since the payoff is terminal."""
     disc = np.exp(-model.rates.r * (T - s))
+    blocks = simulate_log_blocks(model, np.asarray(x, dtype=float), s, T, 1, n_paths, seed,
+                                 n_threads=n_threads)
     samples = np.empty(n_paths)
-    for lo, block in simulate_log_blocks(model, np.asarray(x, dtype=float), s, T,
-                                         1, n_paths, seed, n_threads=n_threads):
+    for lo, block in blocks:
         samples[lo:lo + block.shape[0]] = disc * payoff.evaluate(np.exp(block[:, -1, :]))
     return _estimate(samples, n_paths, seed)
 
@@ -76,6 +77,9 @@ class RegressionBasis:
     """
 
     degree: int = 3
+
+    def __post_init__(self):
+        object.__setattr__(self, "degree", whole_number(self.degree, "degree", 0))
 
     def exponents(self, dim: int) -> list:
         exps = []
@@ -151,9 +155,10 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
     def backward(stream: int, fit: bool) -> np.ndarray:
         """Discounted cash flows of one path set under the policy in `coefs`,
         fitting it date by date first when `fit` is set."""
+        blocks = simulate_log_blocks(model, x, s, T, n_steps, n_paths, seed,
+                                     stream=stream, n_threads=n_threads)
         logs = np.empty((n_steps + 1, n_paths, model.dim))  # time-major: logs[k] is contiguous
-        for lo, block in simulate_log_blocks(model, x, s, T, n_steps, n_paths, seed,
-                                             stream=stream, n_threads=n_threads):
+        for lo, block in blocks:
             logs[:, lo:lo + block.shape[0]] = block.transpose(1, 0, 2)
         cash = payoff.evaluate(np.exp(logs[-1]))
         for k in range(n_steps - 1, 0, -1):
@@ -183,21 +188,6 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
 # Premium integral
 # --------------------------------------------------------------------------- #
 
-def _untie(payoff: Payoff, prices: np.ndarray) -> np.ndarray:
-    """Nudge exact tie points off the tie set (they carry zero measure).
-
-    Column j is scaled by 1 + j 1e-12, far above one ulp, so tied columns
-    come out distinct and `Payoff.psi_minus` never sees a tie.
-    """
-    ties = payoff.tie_mask(prices)
-    if not np.any(ties):
-        return prices
-    out = prices.copy()
-    jitter = 1.0 + 1e-12 * np.arange(1, prices.shape[-1] + 1)
-    out[ties] = out[ties] * jitter
-    return out
-
-
 def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float, x,
                   T: float, n_paths: int, seed: int, exercise_tols: tuple,
                   n_threads: int | None = None) -> dict:
@@ -220,11 +210,12 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
     dt = grid.dt
     times = grid.times
     r = model.rates.r
+    blocks = simulate_log_blocks(model, np.asarray(x, dtype=float), s, T, n_steps, n_paths,
+                                 seed, n_threads=n_threads)
     tols = sorted(set(exercise_tols), reverse=True)  # bands nest: the first is the widest
     integrals = {tol: np.zeros(n_paths) for tol in exercise_tols}
     exited_total = 0
-    for lo, block in simulate_log_blocks(model, np.asarray(x, dtype=float), s, T,
-                                         n_steps, n_paths, seed, n_threads=n_threads):
+    for lo, block in blocks:
         nb = block.shape[0]
         inside = np.ones(nb, dtype=bool)
         for k in range(n_steps):
@@ -234,7 +225,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
             if not rows.size:
                 break
             zin = zk[rows]
-            prices = _untie(payoff, np.exp(zin))
+            prices = np.exp(zin)
             psi = payoff.evaluate(prices)
             # only rows with psi > 0 inside the widest band carry a nonzero
             # payload; every other row would add +0.0
@@ -260,17 +251,16 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
 
 def estimate_premium_mc(model: LevyModel, payoff: Payoff, solution: Solution,
                         s: float, x, T: float, n_paths: int, n_steps: int,
-                        seed: int, exercise_tol: float | None = None,
-                        n_threads: int | None = None) -> Estimate:
+                        seed: int, n_threads: int | None = None) -> Estimate:
     """Monte Carlo estimate of the early-exercise premium.
 
     Averages the discounted integral of 1_{exercise band} 1_{Psi^- > 0}
-    (Psi^- - L_I u) along simulated paths; the exercise indicator and jump
-    field come from the solved American field.
+    (Psi^- - L_I u) along simulated paths; the exercise indicator, its band
+    tolerance and the jump field come from the solved American field.
     """
     if n_steps != solution.grid.n_time:
         raise ValueError("premium time grid must match the PIDE time grid")
-    tol = solution.exercise_tol if exercise_tol is None else exercise_tol
+    tol = solution.exercise_tol
     sweep = premium_sweep(model, payoff, solution, s, x, T, n_paths, seed,
                           exercise_tols=(tol,), n_threads=n_threads)
     return sweep[tol]

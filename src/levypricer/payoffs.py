@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KinkTooClose, TieBreak
-from .model import GaussianPart, Rates, whole_dim
+from .errors import KinkTooClose
+from .model import GaussianPart, Rates, whole_number
 
 MIN_PUT = "min_put"
 INDEX_PUT = "index_put"
@@ -55,7 +55,7 @@ class Payoff:
             raise ValueError(f"unknown payoff kind {self.kind!r}; known kinds: {', '.join(KINDS)}")
         if self.dim is None:
             raise ValueError(f"{self.kind} payoff needs key 'dim'")
-        object.__setattr__(self, "dim", whole_dim(self.dim))
+        object.__setattr__(self, "dim", whole_number(self.dim, "dim", 1))
         for key, name in _FIELDS.items():
             value = getattr(self, name)
             if (value is None) == (key in keys):
@@ -156,23 +156,15 @@ class Payoff:
             return self.gamma_pow * self.dim
         return 1.0
 
-    def tie_mask(self, x) -> np.ndarray:
-        """True where the active-index set of a min/max payoff is ambiguous."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.dim < 2 or self.kind not in (MIN_PUT, MAX_CALL, MULTI_STRIKE):
-            return np.zeros(x.shape[:-1], dtype=bool)
-        v = x - self.strike if self.kind == MULTI_STRIKE else x
-        best = _across(np.minimum if self.kind == MIN_PUT else np.maximum, v)
-        return _across(np.add, (v == best[..., None]).view(np.int8)) > 1
-
     def psi_minus(self, x, rates: Rates, gaussian: GaussianPart,
                   printed_power_coeff: bool = False) -> np.ndarray:
         """Closed-form Psi^-(x) on {psi > 0}; zero elsewhere.
 
         The exercise set lives inside {psi > 0}, so the premium integrand
-        never samples the formula off that set.  Raises TieBreak when the
-        active-index set is ambiguous (x_i == x_j at an argmin/argmax with
-        psi > 0); callers are expected to perturb or drop such points.
+        never samples the formula off that set.  On a tie set (x_i == x_j at
+        the argmin or argmax) the first active index is taken, as numpy's
+        argmin and argmax do: the tie sets are null for a law with a density,
+        so the premium integral never depends on Psi^- there.
         """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
@@ -184,9 +176,6 @@ class Payoff:
         k = self.kind
 
         if k in (MIN_PUT, MAX_CALL, MULTI_STRIKE):
-            ties = self.tie_mask(x) & pos
-            if np.any(ties):
-                raise TieBreak(f"{int(ties.sum())} query point(s) on a tie set of {k}")
             # +-(delta_m x_m - r K_m) at m = argmin x, argmax x or argmax x - K
             v = x - self.strike if k == MULTI_STRIKE else x
             idx = np.argmin(v, axis=-1) if k == MIN_PUT else np.argmax(v, axis=-1)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
                      PenaltyNonMonotone, QuadratureTailTooHeavy, SchemeNotMonotone)
-from .model import LevyModel, corners
+from .model import LevyModel, corners, whole_number
 from .payoffs import Payoff
 
 if TYPE_CHECKING:
@@ -56,7 +56,10 @@ class SolverConfig:
     def from_dict(cls, spec: dict) -> "SolverConfig":
         known = config_fields(cls, spec)
         if "penalty_ladder" in known:
-            known["penalty_ladder"] = tuple(float(v) for v in known["penalty_ladder"])
+            ladder = known["penalty_ladder"]
+            if not isinstance(ladder, (list, tuple)):
+                raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
+            known["penalty_ladder"] = tuple(float(v) for v in ladder)
         return cls(**known)
 
     def to_dict(self) -> dict:
@@ -150,8 +153,7 @@ def build_grid(model: LevyModel, payoff: Payoff, spot, T: float, n_space: int,
     p = payoff.growth_exponent()
     if beta <= p:
         raise BetaTooSmall(f"beta = {beta} must exceed the growth exponent p = {p}")
-    if n_space < 51 or n_time < 10:
-        raise ValueError("need n_space >= 51 and n_time >= 10")
+    n_space, n_time = whole_number(n_space, "n_space", 51), whole_number(n_time, "n_time", 10)
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (model.dim,):
         raise ValueError(f"spot has {spot.size} coordinate(s) but the model has {model.dim} asset(s)")
@@ -387,8 +389,8 @@ class Solution:
     exercise_tol: float = SolverConfig.exercise_tol
     metadata: dict = field(default_factory=dict)
 
-    def value_at_spot(self, level: int = 0) -> float:
-        return float(self.values[(level, *self.grid.center_index)])
+    def value_at_spot(self) -> float:
+        return float(self.values[(0, *self.grid.center_index)])
 
 
 def interp_level(solution_field: np.ndarray, grid: Grid, level: int, zq: np.ndarray) -> np.ndarray:
@@ -559,8 +561,8 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     step matrix is factored once per operator on top of those.
     """
     ladder = tuple(float(v) for v in penalty)
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("penalty ladder must be strictly increasing")
+    if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"penalty_ladder must be nonempty and strictly increasing, got {list(ladder)}")
     psi = payoff.evaluate(np.exp(grid.mesh()))
     prev = None
     changes, solves, factorizations, columns = [], [], [], []
@@ -669,10 +671,10 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
     convolved again.  The time derivative is the central difference, independent of the
     stepping scheme, so the residual genuinely measures discretization error.
     Excluded from the norm (NaN in the field): nodes inside the payoff kink's
-    parabolic influence region |z - kink| < layers * max(dz, sqrt(a_max tau)),
-    a `_KINK_LAYERS`-cell band around the exercise-set boundary, and levels
-    with tau < `_TERMINAL_BUFFER` * T where no scheme is in its asymptotic
-    regime yet.
+    parabolic influence region |z - kink| < max(layers * dz, 4 sqrt(a_max tau)),
+    with layers = `_KINK_LAYERS` and dz the widest step; a `_KINK_LAYERS`-cell
+    band around the exercise-set boundary; and levels with
+    tau < `_TERMINAL_BUFFER` * T, where no scheme is in its asymptotic regime yet.
     """
     from scipy.ndimage import binary_dilation, binary_erosion
     grid = solution.grid

@@ -1,4 +1,4 @@
-"""Early-exercise premium identity and exercise-region diagnostics.
+"""Early-exercise premium identity and the exercise boundary.
 
 The identity under test: American value = European value + discounted
 expected integral of (Psi^- - L_I u) over the exercise region.  Both PIDE
@@ -112,34 +112,12 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
 
 
 # --------------------------------------------------------------------------- #
-# Exercise-region diagnostics
+# Exercise boundary
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class RegionReport:
-    t: float
-    level: int
-    mask: np.ndarray
-    included_in_positive_payoff: bool
-    boundary_price: float | None  # d = 1 only
-
-
-def exercise_region_report(solution: Solution, payoff: Payoff, t: float) -> RegionReport:
-    """Exercise-set slice nearest to t, its inclusion in {psi > 0}, and the
-    free-boundary price (d = 1: largest exercised node for puts, smallest for
-    calls)."""
-    grid = solution.grid
-    level = int(np.clip(round(t / grid.dt), 0, grid.n_time))
-    mask = solution.exercise_set[level]
-    included = bool(np.all(solution.obstacle[mask] > 0)) if mask.any() else True
-    boundary = None
-    if grid.dim == 1:
-        boundary = _boundary_price(grid, mask, payoff)
-    return RegionReport(t=grid.times[level], level=level, mask=mask,
-                        included_in_positive_payoff=included, boundary_price=boundary)
-
-
 def _boundary_price(grid: Grid, mask: np.ndarray, payoff: Payoff) -> float | None:
+    """Free-boundary price of one d = 1 exercise-set slice: the largest
+    exercised node for puts, the smallest for calls; None when it is empty."""
     if not mask.any():
         return None
     prices = np.exp(grid.axes[0])

@@ -71,6 +71,13 @@ class TestValidate:
     def test_missing_file_usage_error(self):
         assert main(["validate", "--model", "/nonexistent/model.json"]) == 2
 
+    def test_threads_is_not_an_option(self, capsys):
+        # validate simulates nothing; it once accepted --threads and ignored it
+        code = main(["validate", "--model", str(CONFIGS / "models" / "bs1d.json"),
+                     "--threads", "2"])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestPrice:
     def test_both_methods_agree(self, small_setup, capsys):
@@ -137,6 +144,36 @@ class TestPrice:
             "rates": {"r": 0.05, "delta": [0.0] * n}})
         assert main(["validate", "--model", model]) == 2
         assert "dim must be a whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, spec, key", [
+        ("--mc-config", {"n_threads": 0}, "n_threads"),
+        ("--mc-config", {"n_threads": 2.5}, "n_threads"),
+        ("--threads", "-3", "n_threads"),
+        ("--mc-config", {"n_paths": 2000.5}, "n_paths"),
+        ("--mc-config", {"n_steps": 20.5}, "n_steps"),
+        ("--mc-config", {"basis_degree": 2.5}, "degree"),
+        ("--mc-config", {"basis_degree": -1}, "degree"),
+        ("--solver-config", {"n_space": 101.0}, "n_space"),
+        ("--solver-config", {"n_time": 20.5}, "n_time"),
+        ("--solver-config", {"penalty_ladder": 100}, "penalty_ladder"),
+        ("--solver-config", {"penalty_ladder": []}, "penalty_ladder"),
+    ], ids=["n_threads-0", "n_threads-2.5", "threads-flag-neg3", "n_paths-2000.5",
+            "n_steps-20.5", "basis_degree-2.5", "basis_degree-neg1", "n_space-101.0",
+            "n_time-20.5", "penalty_ladder-100", "penalty_ladder-empty"])
+    def test_counts_and_ladder_are_usage_errors(self, tmp_path, capsys, flag, spec, key):
+        # each once ran on one thread with exit 0, or ended in a traceback (exit 1)
+        base = {"--mc-config": {"n_paths": 1000, "n_steps": 10},
+                "--solver-config": {"n_space": 101, "n_time": 20, "beta": 5.0}}
+        if flag == "--threads":
+            extra = ["--threads", spec, "--mc-config", _write(tmp_path, "mc.json", base["--mc-config"])]
+        else:
+            extra = [flag, _write(tmp_path, "config.json", {**base[flag], **spec})]
+        code = main(["price", "--model", str(CONFIGS / "models" / "bs1d.json"),
+                     "--payoff", str(CONFIGS / "payoffs" / "put100_1d.json"), "--spot", "100",
+                     "--T", "1.0", "--method", "pide" if flag == "--solver-config" else "mc",
+                     *extra])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_spot_dimension_mismatch(self, small_setup):
         model, payoff, solver, mc, out = small_setup

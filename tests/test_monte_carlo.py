@@ -6,8 +6,9 @@ import pytest
 import levypricer as lp
 from levypricer.model import simulate_log_blocks
 from levypricer.monte_carlo import (MCConfig, RegressionBasis, _estimate, _fit_continuation,
-                                    _untie, estimate_premium_mc, premium_sweep,
-                                    price_american_ls, price_european_mc)
+                                    estimate_premium_mc, premium_sweep, price_american_ls,
+                                    price_european_mc)
+from levypricer.payoffs import MAX_CALL, MIN_PUT, MULTI_STRIKE, _across
 from levypricer.pide import Grid, SolverConfig, interp_level
 from oracles import bs_put, crr_american_put
 
@@ -261,9 +262,30 @@ def test_mc_config_rejects_unknown_keys():
 # Premium sweep compaction
 # --------------------------------------------------------------------------- #
 
+def _tie_mask(payoff, x):
+    """True where the active index of a best-of payoff is ambiguous."""
+    if payoff.dim < 2 or payoff.kind not in (MIN_PUT, MAX_CALL, MULTI_STRIKE):
+        return np.zeros(x.shape[:-1], dtype=bool)
+    v = x - payoff.strike if payoff.kind == MULTI_STRIKE else x
+    best = _across(np.minimum if payoff.kind == MIN_PUT else np.maximum, v)
+    return _across(np.add, (v == best[..., None]).view(np.int8)) > 1
+
+
+def _untie(payoff, prices):
+    """The jitter the sweep once applied: column j of each tied row scaled by
+    1 + (j + 1) 1e-12, so `psi_minus` never met a tie."""
+    ties = _tie_mask(payoff, prices)
+    if not np.any(ties):
+        return prices
+    out = prices.copy()
+    out[ties] = out[ties] * (1.0 + 1e-12 * np.arange(1, prices.shape[-1] + 1))
+    return out
+
+
 def _row_by_row_sweep(model, payoff, solution, x, n_paths, seed, tols, n_threads):
     """Reference premium sweep: the integrand on every inside path at every
-    step, zero outside the band, accumulated through a mask."""
+    step, zero outside the band, accumulated through a mask, with tied prices
+    jittered off the tie set first."""
     grid = solution.grid
     integrals = {tol: np.empty(n_paths) for tol in tols}
     exited = 0
@@ -342,20 +364,28 @@ class TestPremiumCompaction:
             assert (out[tol].mean, out[tol].stderr) == (ref[tol].mean, ref[tol].stderr), tol
         assert out[1e-5].mean > 0
 
-    @pytest.mark.parametrize("payoff, tied", [
-        (lp.Payoff.min_put(100.0, 2), [[90.0, 90.0], [50.0, 50.0], [99.5, 99.5]]),
-        (lp.Payoff.max_call(100.0, 2), [[110.0, 110.0], [150.0, 150.0]]),
-    ])
-    def test_untie_leaves_psi_minus_no_tie(self, merton2d_model, payoff, tied):
-        prices = np.array(tied + [[90.0, 110.0]])
-        with pytest.raises(lp.TieBreak):
-            payoff.psi_minus(prices, merton2d_model.rates, merton2d_model.gaussian)
-        untied = _untie(payoff, prices)
-        assert not payoff.tie_mask(untied).any()
-        assert (payoff.evaluate(untied[:-1]) > 0).all()
-        assert np.array_equal(untied[-1], prices[-1])
-        psim = payoff.psi_minus(untied, merton2d_model.rates, merton2d_model.gaussian)
-        assert np.isfinite(psim).all()
+    # the identity-minput2d job, and spots on the tie set of each best-of
+    # payoff in the money: the sweep no longer jitters ties, the reference does
+    @pytest.mark.parametrize("payoff, spot, n_time, ladder", [
+        *[(lp.Payoff.min_put(100.0, 2), [s, s], 20, (1e2, 1e3, 1e4))
+          for s in (100.0, 60.0, 70.0, 80.0, 90.0)],
+        *[(lp.Payoff.max_call(100.0, 2), [s, s], 10, (1e4,)) for s in (110.0, 300.0)],
+        (lp.Payoff.multi_strike([95.0, 105.0], 2), [105.0, 115.0], 10, (1e4,)),
+    ], ids=["minput-100", "minput-60", "minput-70", "minput-80", "minput-90",
+            "maxcall-110", "maxcall-300", "multistrike-105-115"])
+    def test_tied_spots_match_jittered_reference(self, merton2d_model, payoff, spot, n_time,
+                                                 ladder):
+        cfg = SolverConfig(n_space=61, n_time=n_time, beta=5.0, trunc_tol=1e-5,
+                           penalty_ladder=ladder)
+        _, _, amer, _ = lp.solve_pair(merton2d_model, payoff, spot, 0.5, cfg)
+        tols = (1e-5, 1e-6, 1e-7)
+        ref, exit_fraction = _row_by_row_sweep(merton2d_model, payoff, amer, spot, 16_384, 1,
+                                               tols, 1)
+        out = premium_sweep(merton2d_model, payoff, amer, 0.0, spot, 0.5, 16_384, seed=1,
+                            exercise_tols=tols)
+        assert out["exit_fraction"] == exit_fraction
+        for tol in tols:
+            assert (out[tol].mean, out[tol].stderr) == (ref[tol].mean, ref[tol].stderr), tol
 
 
 def test_lsmc_shrink_warned_once_per_date(bs_model, caplog):

@@ -154,17 +154,23 @@ class TestPsiMinus:
         rates = lp.Rates(r=0.05, delta=[0.0, 0.0])
         assert p.psi_minus(np.array([150.0, 160.0]), rates, G2) == 0.0
 
-    def test_tie_raises_only_in_the_money(self):
-        p = lp.Payoff.min_put(100.0, 2)
-        with pytest.raises(lp.TieBreak):
-            p.psi_minus(np.array([90.0, 90.0]), RATES_FLAT, G2)
-        # out of the money: formula returns 0, no ambiguity to resolve
-        assert p.psi_minus(np.array([150.0, 150.0]), RATES_FLAT, G2) == 0.0
-
-    def test_tie_mask(self):
-        p = lp.Payoff.max_call(100.0, 2)
-        mask = p.tie_mask(np.array([[110.0, 110.0], [110.0, 90.0]]))
-        assert mask.tolist() == [True, False]
+    @pytest.mark.parametrize("payoff, tied, sign, delta", [
+        (lp.Payoff.min_put(100.0, 2), [[90.0, 90.0], [50.0, 50.0], [150.0, 150.0]], -1.0, [0.01, 0.08]),
+        (lp.Payoff.max_call(100.0, 2), [[110.0, 110.0], [300.0, 300.0], [90.0, 90.0]], 1.0, [0.08, 0.01]),
+        (lp.Payoff.multi_strike([95.0, 105.0], 2), [[105.0, 115.0], [195.0, 205.0]], 1.0, [0.08, 0.01]),
+    ], ids=["min_put", "max_call", "multi_strike"])
+    def test_tie_takes_first_index(self, payoff, tied, sign, delta):
+        # on a tie set (measure zero) the first tied asset is the active one:
+        # +-(delta_0 x_0 - r K_0) on {psi > 0}; the second asset's yield
+        # would give another value at the first two points
+        rates = lp.Rates(r=0.05, delta=delta)
+        x = np.array(tied)
+        strike = np.broadcast_to(payoff.strike, (2,))
+        first = sign * (rates.delta[0] * x[:, 0] - rates.r * strike[0])
+        want = np.where(payoff.evaluate(x) > 0, np.maximum(first, 0.0), 0.0)
+        got = payoff.psi_minus(x, rates, G2)
+        assert got.tobytes() == want.tobytes()
+        assert (got[:2] > 0).all()
 
     def test_min_put_point_and_support(self):
         p = lp.Payoff.min_put(100.0, 2)

@@ -6,8 +6,7 @@ import pytest
 import levypricer as lp
 from levypricer.monte_carlo import MCConfig
 from levypricer.pide import SolverConfig
-from levypricer.premium import (boundary_curve, exercise_region_report,
-                                premium_identity)
+from levypricer.premium import boundary_curve, premium_identity
 
 SPOT = 100.0
 
@@ -72,17 +71,18 @@ class TestPremiumIdentity:
 class TestExerciseRegion:
     def test_near_expiry_put_region(self, bs_solves, put_1d):
         _, _, amer, _ = bs_solves
-        rep = exercise_region_report(amer, put_1d, t=1.0 - 1e-9)
-        assert rep.mask.any()
-        assert rep.included_in_positive_payoff
-        assert rep.boundary_price is not None and rep.boundary_price < 100.0
+        mask = amer.exercise_set[-1]  # the level nearest t = 1 - 1e-9
+        assert mask.any()
+        assert np.all(amer.obstacle[mask] > 0)
+        boundary = boundary_curve(amer, put_1d)[-1, 1]
+        assert boundary == np.exp(amer.grid.axes[0][mask]).max() and boundary < 100.0
 
     def test_zero_rate_region_empty(self, zero_rate_solves, put_1d):
         _, _, amer, _ = zero_rate_solves
-        for t in (0.0, 0.3, 0.7, 0.99):
-            rep = exercise_region_report(amer, put_1d, t)
-            assert not rep.mask.any()
-            assert rep.boundary_price is None
+        grid = amer.grid
+        levels = [round(t / grid.dt) for t in (0.0, 0.3, 0.7, 0.99)]
+        assert not amer.exercise_set[levels].any()
+        assert np.isnan(boundary_curve(amer, put_1d)[levels, 1]).all()
 
     def test_inclusion_every_level(self, merton_solves):
         _, _, amer, _ = merton_solves
