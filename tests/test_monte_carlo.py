@@ -364,6 +364,22 @@ class TestPremiumCompaction:
             assert (out[tol].mean, out[tol].stderr) == (ref[tol].mean, ref[tol].stderr), tol
         assert out[1e-5].mean > 0
 
+    @pytest.mark.parametrize("payoff, tied", [
+        (lp.Payoff.min_put(100.0, 2), [[90.0, 90.0], [50.0, 50.0], [99.5, 99.5]]),
+        (lp.Payoff.max_call(100.0, 2), [[110.0, 110.0], [150.0, 150.0]]),
+    ])
+    def test_untie_leaves_psi_minus_no_tie(self, merton2d_model, payoff, tied):
+        # the reference sweep's jitter moves tied rows off the tie set, keeps
+        # them in the money and leaves untied rows as they are
+        prices = np.array(tied + [[90.0, 110.0]])
+        assert _tie_mask(payoff, prices).tolist() == [True] * len(tied) + [False]
+        untied = _untie(payoff, prices)
+        assert not _tie_mask(payoff, untied).any()
+        assert (payoff.evaluate(untied[:-1]) > 0).all()
+        assert np.array_equal(untied[-1], prices[-1])
+        psim = payoff.psi_minus(untied, merton2d_model.rates, merton2d_model.gaussian)
+        assert np.isfinite(psim).all()
+
     # the identity-minput2d job, and spots on the tie set of each best-of
     # payoff in the money: the sweep no longer jitters ties, the reference does
     @pytest.mark.parametrize("payoff, spot, n_time, ladder", [
