@@ -490,9 +490,10 @@ def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
 
     Block boundaries and substreams are fixed by the block size alone, so the
     output never depends on the thread count.  Every Monte Carlo estimator
-    simulates here, so here the spot's length and the step, path and thread
-    counts (None: 1 thread) are checked: at the call, before any block is
-    simulated, so a caller may size its arrays by them once this returns.
+    simulates here, so here the spot's length, the step, path and thread
+    counts (None: 1 thread) and the seed are checked: at the call, before any
+    block is simulated, so a caller may size its arrays by them once this
+    returns.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.dim,):
@@ -503,6 +504,7 @@ def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
         raise ValueError("need T > s")
     n_steps, n_paths = whole_number(n_steps, "n_steps", 1), whole_number(n_paths, "n_paths", 1)
     n_threads = 1 if n_threads is None else whole_number(n_threads, "n_threads", 1)
+    seed = whole_number(seed, "seed", 0)
     dt = (T - s) / n_steps
     log_x = np.log(x)
     starts = list(range(0, n_paths, _PATH_BLOCK))

@@ -2,7 +2,7 @@
 
 The obstacle problem min{-d_t u - Lu + ru, u - psi} = 0 is solved on a
 truncated tensor grid in log prices.  The diffusion/drift/rate part is
-implicit (one sparse solve per step), the jump integral is an explicit
+implicit (one linear solve per step), the jump integral is an explicit
 convolution against a stencil of jump-law cell masses, and the obstacle is
 enforced through a penalty source n (u - psi)^- driven up a ladder of n
 values, with semismooth-Newton inner iterations.  European and American
@@ -13,9 +13,11 @@ level's active set.  A moved set is solved by refactorizing (1D) or by a
 low-rank update of the last penalized factor (2D).
 `solve_pair` is the pipeline: grid, operator, American and European solves.
 
-`assemble` and the operator's matrix builds import `scipy.sparse`, and `splu`
-imports `scipy.sparse.linalg`, where they are used: scipy costs more import
-time than numpy, and the package, `validate` and Monte Carlo need none of it.
+In 1D the implicit matrices are `Tridiagonal` and `splu` factors them in
+numpy, so a 1D solve imports no scipy.  In 2D `assemble` and the operator's
+matrix builds import `scipy.sparse`, and `splu` imports `scipy.sparse.linalg`,
+where they are used: scipy costs more import time than numpy, and the
+package, `validate` and Monte Carlo need none of it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ class SolverConfig:
             if not isinstance(ladder, (list, tuple)):
                 raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
             known["penalty_ladder"] = tuple(float(v) for v in ladder)
+        for key in ("beta", "trunc_tol", "y_max_tail", "exercise_tol"):
+            if key in known:
+                value = known[key]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{key} must be a real number, got {value!r}")
+                known[key] = float(value)
         return cls(**known)
 
     def to_dict(self) -> dict:
@@ -170,24 +178,105 @@ def build_grid(model: LevyModel, payoff: Payoff, spot, T: float, n_space: int,
 # Discrete operator
 # --------------------------------------------------------------------------- #
 
-def _axis_diffs(n: int, dz: float, b: float, a_diag: float) -> tuple:
-    """(second, first, central) difference matrices on one axis; the first
-    difference is upwind when the cell Peclet number exceeds 1."""
-    import scipy.sparse as sp
-    central = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n)) / dz
+def _axis_bands(dz: float, b: float, a_diag: float) -> tuple:
+    """(second, first, central) differences on one axis, each as its
+    (sub, main, super) diagonal values; the first difference is upwind when
+    the cell Peclet number exceeds 1."""
+    inv, inv2 = 1.0 / dz, 1.0 / (dz * dz)
+    central = (-0.5 * inv, 0.0, 0.5 * inv)
     first = central
     if abs(b) * dz / max(a_diag, 1e-300) > 1.0:
-        first = sp.diags([-1.0, 1.0], [0, 1] if b > 0 else [-1, 0], shape=(n, n)) / dz
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (dz * dz), first, central
+        first = (0.0, -inv, inv) if b > 0 else (-inv, inv, 0.0)
+    return (inv2, -2.0 * inv2, inv2), first, central
+
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """A tridiagonal matrix by rows: row i holds lower[i], main[i] and upper[i]
+    in columns i - 1, i and i + 1 (lower[0] and upper[-1] are zero).
+
+    The 1D local generator, step and penalized matrices take this form, so a
+    1D solve needs no `scipy.sparse`.
+    """
+
+    lower: np.ndarray
+    main: np.ndarray
+    upper: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = self.main * x
+        out[1:] += self.lower[1:] * x[:-1]
+        out[:-1] += self.upper[:-1] * x[1:]
+        return out
+
+    def plus_diagonal(self, diagonal: np.ndarray) -> "Tridiagonal":
+        return Tridiagonal(self.lower, self.main + diagonal, self.upper)
+
+
+def _doubling(alpha: np.ndarray, x: np.ndarray) -> list:
+    """(x[h:], alpha[h:], x[:-h]) per recursive-doubling step, stride h, of
+    the recurrence x_i = alpha_i x_{i-1} + beta_i, alpha_0 = 0 (Stone 1973),
+    run in place on x = beta by `x[h:] += alpha[h:] * x[:-h]`.
+
+    A step folds in the term h places back: beta_i += alpha_i beta_{i-h},
+    alpha_i *= alpha_{i-h}, which zeroes alpha[:2h].  The steps stop once
+    every coefficient left is below 2^-53 in modulus, so each term they drop
+    is below the round-off of the largest x (an x far below that, deep out of
+    the money next to maturity, may come out as 0).
+    """
+    steps, h = [], 1
+    while np.abs(alpha).max() >= 2.0 ** -53:
+        steps.append((x[h:], alpha[h:], x[:-h]))
+        alpha = np.concatenate((np.zeros(h), alpha[h:] * alpha[:-h]))
+        h *= 2
+    return steps
+
+
+class _TridiagonalLU:
+    """LU of a `Tridiagonal` without row exchanges.
+
+    The pivots come from the Thomas recurrence, once per factorization.
+    Each `solve` runs the two bidiagonal recurrences, forward through the
+    unit lower factor and backward through the upper one, by recursive
+    doubling in place in one work array, so a factor serves one solve at a
+    time; the doubling coefficients depend on the matrix only and are formed
+    here.  No pivoting is needed: the interior rows of a step or penalized
+    matrix are strictly diagonally dominant by 1/dt + lambda (the penalty
+    only adds to the diagonal), and the boundary rows are identity rows.
+    """
+
+    def __init__(self, matrix: Tridiagonal):
+        lower, main, upper = matrix.lower.tolist(), matrix.main.tolist(), matrix.upper.tolist()
+        pivots = [main[0]]
+        for i in range(1, len(main)):
+            pivots.append(main[i] - lower[i] / pivots[-1] * upper[i - 1])
+        self._pivots = np.array(pivots)
+        self._work = np.empty_like(self._pivots)
+        multipliers = np.r_[0.0, matrix.lower[1:] / self._pivots[:-1]]
+        self._forward = _doubling(-multipliers, self._work)
+        self._backward = _doubling((-matrix.upper / self._pivots)[::-1], self._work[::-1])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        np.copyto(self._work, rhs)
+        for dst, alpha, src in self._forward:
+            dst += alpha * src
+        self._work /= self._pivots
+        for dst, alpha, src in self._backward:
+            dst += alpha * src
+        return self._work.copy()
 
 
 @dataclass
 class DiscreteOperator:
-    """Sparse local generator plus the explicit jump-convolution stencil."""
+    """Local generator plus the explicit jump-convolution stencil.
+
+    The generator and the step and penalized matrices built from it are
+    `Tridiagonal` in 1D and `scipy.sparse` matrices in 2D.
+    """
 
     grid: Grid
     model: LevyModel
-    local: sp.spmatrix          # (1/2) sum a_ij D2_ij + sum b_i D_i - lambda I, interior rows
+    local: Tridiagonal | sp.spmatrix  # (1/2) sum a_ij D2_ij + sum b_i D_i - lambda I, interior rows
     boundary_mask: np.ndarray   # flat boolean, True on grid boundary nodes
     stencil: np.ndarray         # jump cell masses, sums to lambda
     offsets: tuple              # stencil half-width in cells per axis
@@ -248,39 +337,51 @@ class DiscreteOperator:
         return np.exp(self.grid.mesh().reshape(-1, self.grid.dim)[self.boundary_mask])
 
     @cached_property
-    def step_matrix(self) -> sp.csc_matrix:
+    def step_matrix(self) -> Tridiagonal | sp.csc_matrix:
         """I/dt - local on interior rows, identity on boundary rows.
 
         The rate term is not in the matrix: r I commutes with the generator,
         so discounting is applied as an exact e^{-r dt} factor after each step.
         """
+        interior = self.grid.interior.ravel()
+        if self.grid.dim == 1:  # 0.0 - x: a zero entry stays +0.0
+            return Tridiagonal(0.0 - self.local.lower,
+                               np.where(interior, 1.0 / self.grid.dt - self.local.main, 1.0),
+                               0.0 - self.local.upper)
         import scipy.sparse as sp
-        interior = self.grid.interior.ravel().astype(float)
-        a = sp.diags(interior) @ (sp.identity(interior.size) / self.grid.dt - self.local)
+        a = sp.diags(interior.astype(float)) @ (sp.identity(interior.size) / self.grid.dt - self.local)
         return (a + sp.diags(self.boundary_mask.astype(float))).tocsc()
 
-    def penalized_matrix(self, n_pen: float, active: np.ndarray) -> sp.csc_matrix:
+    def penalized_matrix(self, n_pen: float, active: np.ndarray) -> Tridiagonal | sp.csc_matrix:
         """`step_matrix` + n_pen diag(active): the step of a penalized set."""
+        if self.grid.dim == 1:
+            return self.step_matrix.plus_diagonal(n_pen * active)
         import scipy.sparse as sp
         return (self.step_matrix + sp.diags(n_pen * active.astype(float))).tocsc()
 
     @cached_property
     def step_lu(self):
-        """Sparse LU of `step_matrix`, shared by every solve on this operator."""
+        """LU of `step_matrix`, shared by every solve on this operator."""
         return _factor(self.step_matrix)
 
 
-def splu(matrix: sp.csc_matrix, **options):
-    """scipy's sparse LU; `scipy.sparse.linalg` loads at the first call."""
+def splu(matrix, **options):
+    """The one factorization entry point: a `Tridiagonal` gets the numpy
+    `_TridiagonalLU`, any other matrix scipy's sparse LU with `options`
+    (`scipy.sparse.linalg` loads at the first such call)."""
+    if isinstance(matrix, Tridiagonal):
+        return _TridiagonalLU(matrix)
     from scipy.sparse.linalg import splu
     return splu(matrix, **options)
 
 
-def _factor(matrix: sp.csc_matrix):
-    """Sparse LU of a step or penalized matrix: symmetric minimum-degree
-    order (Liu 1985) on the pattern of A + A^T, diagonal pivots.
+def _factor(matrix):
+    """LU of a step or penalized matrix.  A 1D `Tridiagonal` is factored
+    without row exchanges (see `_TridiagonalLU`); a 2D sparse matrix by
+    SuperLU with a symmetric minimum-degree order (Liu 1985) on the pattern of
+    A + A^T and diagonal pivots.
 
-    Every such matrix has a symmetric pattern; on a 2D grid this order fills
+    Every 2D such matrix has a symmetric pattern; on a 2D grid this order fills
     the factor 1.3-1.6x less than SuperLU's default COLAMD.  Diagonal pivots
     assume elimination needs no row exchanges: the diagonal (1/dt plus the
     diffusion, jump and penalty weights) outweighs the off-diagonal entries
@@ -314,7 +415,9 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
 
 
 def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_max_tail) -> DiscreteOperator:
-    """Build the sparse local generator and the jump stencil on the grid.
+    """Build the local generator and the jump stencil on the grid: in 1D a
+    `Tridiagonal`, in 2D the Kronecker sums of the same per-axis bands as
+    `scipy.sparse` matrices.
 
     Raises when the explicit jump term would break the CFL-like bound
     dt * lambda < 1 or the mixed-derivative stencil breaks monotonicity.
@@ -334,22 +437,26 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_ma
                 f"mixed derivative |a12| = {abs(a[0, 1]):.3g} exceeds the monotone cross-stencil "
                 f"bound min(a11 dz2/dz1, a22 dz1/dz2) = {lim:.3g}; lower the correlation below it")
 
-    import scipy.sparse as sp
-    d2, d1, dc = zip(*(_axis_diffs(n, dz[i], b[i], a[i, i]) for i in range(grid.dim)))
+    d2, d1, dc = zip(*(_axis_bands(dz[i], b[i], a[i, i]) for i in range(grid.dim)))
+    interior = grid.interior.ravel()
     if grid.dim == 1:
-        local = 0.5 * a[0, 0] * d2[0] + b[0] * d1[0]
+        bands = [0.5 * a[0, 0] * second + b[0] * first for second, first in zip(d2[0], d1[0])]
+        bands[1] -= lam
+        local = Tridiagonal(*(np.where(interior, band, 0.0) for band in bands))
     else:
+        import scipy.sparse as sp
+        d2, d1, dc = ([sp.diags(bands, (-1, 0, 1), shape=(n, n)) for bands in diff]
+                      for diff in (d2, d1, dc))
         eye = sp.identity(n)
         local = 0.5 * a[0, 0] * sp.kron(d2[0], eye) + 0.5 * a[1, 1] * sp.kron(eye, d2[1]) \
             + a[0, 1] * sp.kron(dc[0], dc[1]) \
             + b[0] * sp.kron(d1[0], eye) + b[1] * sp.kron(eye, d1[1])
-    local = local - lam * sp.identity(n ** grid.dim)
-    interior = grid.interior.ravel()
-    local = sp.diags(interior.astype(float)) @ local.tocsr()
+        local = local - lam * sp.identity(n ** grid.dim)
+        local = (sp.diags(interior.astype(float)) @ local.tocsr()).tocsr()
 
     stencil, m, radius, defect = _jump_stencil(model, grid, y_max_tail)
     kappa = model.jumps.mean_exp_minus_one(model.dim)
-    return DiscreteOperator(grid=grid, model=model, local=local.tocsr(),
+    return DiscreteOperator(grid=grid, model=model, local=local,
                             boundary_mask=~interior, stencil=stencil, offsets=m,
                             kappa=kappa, y_max=radius, raw_mass_defect=defect)
 
@@ -359,17 +466,22 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_ma
 # --------------------------------------------------------------------------- #
 
 def far_field_values(payoff: Payoff, model: LevyModel, prices: np.ndarray, tau: float,
-                     american: bool) -> np.ndarray:
+                     floor: np.ndarray | None = None) -> np.ndarray:
     """Discounted payoff of the forward prices; exact where psi is locally affine.
 
-    American values are floored at the obstacle so deep-in-the-money
-    boundaries carry the immediate-exercise value.
+    American values are floored at `floor`, the obstacle at `prices` (see
+    `_floors`), so deep-in-the-money boundaries carry the immediate-exercise
+    value; European values (floor None) are not.
     """
     fwd = prices * np.exp((model.rates.r - model.rates.delta) * tau)
     vals = np.exp(-model.rates.r * tau) * payoff.evaluate(fwd)
-    if american:
-        vals = np.maximum(vals, payoff.evaluate(prices))
-    return vals
+    return vals if floor is None else np.maximum(vals, floor)
+
+
+def _floors(operator: DiscreteOperator, payoff: Payoff) -> tuple:
+    """The obstacle at the operator's boundary and ring prices: the American
+    far-field floors of every step, evaluated once per solve."""
+    return payoff.evaluate(operator.boundary_prices), payoff.evaluate(operator.ring_prices)
 
 
 # --------------------------------------------------------------------------- #
@@ -439,17 +551,19 @@ def interpolate(solution: Solution, t: float, x) -> float:
 
 def _update_budget(grid: Grid) -> int:
     """Update columns a penalized factor may carry: one grid line in 2D; none
-    in 1D, which refactorizes each moved set.  This fork stays: a tridiagonal
-    LU costs O(n), the dense update block O(n) per cached column per solve.
-    With an `n_space` budget in 1D the American solve went from 0.14 to 7.2 s
-    (bs 801x400) and from 0.05 to 0.52 s (kou1d 401x100) on 2 cores."""
+    in 1D, which refactorizes each moved set with `_TridiagonalLU`.  This
+    fork stays: a tridiagonal LU costs O(n), the dense update block O(n) per
+    cached column per solve.  With an `n_space` budget in 1D the American
+    solve went from 0.14 to 7.2 s (bs 801x400) and from 0.05 to 0.52 s
+    (kou1d 401x100) on 2 cores, both with SuperLU factors."""
     return grid.n_space * (grid.dim - 1)
 
 
 def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
-           n_pen: float | None = None):
+           n_pen: float | None = None, floors: tuple = (None, None)):
     """One backward IMEX sweep: (values, source, convolutions, Newton solves,
-    factorizations, update columns).
+    factorizations, update columns).  An American sweep takes the far-field
+    `floors` of `_floors`.
 
     Each step solves the implicit system against the explicit jump
     convolution K * u of the level above, which is kept per level.  With
@@ -485,10 +599,10 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
     for k in range(grid.n_time - 1, -1, -1):
         rhs = values[k + 1].ravel() / dt
         if operator.lam > 0:
-            conv[k + 1] = _jump_convolution(operator, payoff, values[k + 1], tau[k + 1], american)
+            conv[k + 1] = _jump_convolution(operator, payoff, values[k + 1], tau[k + 1], floors[1])
             rhs = rhs + conv[k + 1].ravel()
         rhs[operator.boundary_mask] = far_field_values(
-            payoff, operator.model, operator.boundary_prices, tau[k], american) / disc
+            payoff, operator.model, operator.boundary_prices, tau[k], floors[0]) / disc
         for _ in range(_NEWTON_CAP):
             try:
                 changed = None
@@ -542,7 +656,7 @@ def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
     values, _, conv, *_ = _sweep(operator, payoff, psi)
     return Solution(grid=grid, kind="european", payoff=payoff, values=values,
                     obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
-                    jump_field=_jump_field(operator, payoff, values, conv, american=False),
+                    jump_field=_jump_field(operator, payoff, values, conv),
                     metadata={"stencil_mass_defect": operator.raw_mass_defect})
 
 
@@ -564,10 +678,11 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"penalty_ladder must be nonempty and strictly increasing, got {list(ladder)}")
     psi = payoff.evaluate(np.exp(grid.mesh()))
+    floors = _floors(operator, payoff)
     prev = None
     changes, solves, factorizations, columns = [], [], [], []
     for n_pen in ladder:
-        values, source, conv, *counts = _sweep(operator, payoff, psi, n_pen)
+        values, source, conv, *counts = _sweep(operator, payoff, psi, n_pen, floors)
         for total, count in zip((solves, factorizations, columns), counts):
             total.append(count)
         if prev is not None:
@@ -593,7 +708,7 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
             "stencil_mass_defect": operator.raw_mass_defect}
     return Solution(grid=grid, kind="american", payoff=payoff, values=prev,
                     obstacle=psi, exercise_set=exercise,
-                    jump_field=_jump_field(operator, payoff, prev, conv, american=True),
+                    jump_field=_jump_field(operator, payoff, prev, conv, floors[1]),
                     penalty_source=source,
                     exercise_tol=exercise_tol, metadata=meta)
 
@@ -614,10 +729,10 @@ def solve_pair(model: LevyModel, payoff: Payoff, spot, T: float, cfg: SolverConf
 # --------------------------------------------------------------------------- #
 
 def _jump_convolution(operator: DiscreteOperator, payoff: Payoff, core: np.ndarray,
-                      tau: float, american: bool) -> np.ndarray:
+                      tau: float, floor: np.ndarray | None) -> np.ndarray:
     """K * u on the core lattice, with the far-field values of time-to-go tau
-    beyond it."""
-    ring = far_field_values(payoff, operator.model, operator.ring_prices, tau, american)
+    beyond it (floored at `floor` for an American field)."""
+    ring = far_field_values(payoff, operator.model, operator.ring_prices, tau, floor)
     return operator.convolve(operator.extend(core, ring))
 
 
@@ -644,20 +759,21 @@ def apply_jump_operator(solution: Solution, operator: DiscreteOperator, k: int) 
     if operator.lam == 0:
         return np.zeros(grid.shape)
     core = solution.values[k]
-    conv = _jump_convolution(operator, solution.payoff, core, grid.T - grid.times[k],
-                             solution.kind == "american")
+    floor = solution.payoff.evaluate(operator.ring_prices) if solution.kind == "american" else None
+    conv = _jump_convolution(operator, solution.payoff, core, grid.T - grid.times[k], floor)
     return _compensate(operator, conv, core)
 
 
 def _jump_field(operator: DiscreteOperator, payoff: Payoff, values: np.ndarray,
-                conv: np.ndarray, american: bool) -> np.ndarray:
+                conv: np.ndarray, ring_floor: np.ndarray | None = None) -> np.ndarray:
     """L_I u per level, in place of `conv` (zero when lambda = 0).
 
     Levels 1..n_time reuse the convolutions the sweep made; level 0 is the
-    only one it did not convolve.
+    only one it did not convolve.  An American field takes the ring floor of
+    `_floors`.
     """
     if operator.lam > 0:
-        conv[0] = _jump_convolution(operator, payoff, values[0], operator.grid.T, american)
+        conv[0] = _jump_convolution(operator, payoff, values[0], operator.grid.T, ring_floor)
         for k in range(values.shape[0]):
             conv[k] = _compensate(operator, conv[k], values[k])
     return conv

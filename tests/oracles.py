@@ -43,3 +43,23 @@ def merton_put_series(S, K, T, r, lam, jump_mean, jump_std, sigma, n_terms=60):
         sigma_n = np.sqrt(sigma ** 2 + n * jump_std ** 2 / T)
         total += prob * bs_put(S, K, T, r_n, sigma_n)
     return float(total)
+
+
+def sparse_operator_1d(model, grid, n_pen, active):
+    """(local, step, penalized) matrices of a 1D grid by the scipy.sparse
+    assembly that the tridiagonal one replaced, kept as its reference:
+    `(1/2) a D2 + b D1 - lambda I` on interior rows, D1 upwind past cell
+    Peclet number 1; `I/dt - local` on interior rows and identity on
+    boundary rows; the step plus `n_pen diag(active)`."""
+    import scipy.sparse as sp
+    n, dz, dt = grid.n_space, grid.dz[0], grid.dt
+    a, b = model.gaussian.a[0, 0], model.log_drift[0]
+    d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (dz * dz)
+    d1 = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n)) / dz
+    if abs(b) * dz / max(a, 1e-300) > 1.0:
+        d1 = sp.diags([-1.0, 1.0], [0, 1] if b > 0 else [-1, 0], shape=(n, n)) / dz
+    local = 0.5 * a * d2 + b * d1 - model.jumps.intensity * sp.identity(n)
+    interior = grid.interior.ravel().astype(float)
+    local = sp.diags(interior) @ local.tocsr()
+    step = (sp.diags(interior) @ (sp.identity(n) / dt - local) + sp.diags(1.0 - interior)).tocsc()
+    return local.tocsr(), step, (step + sp.diags(n_pen * active.astype(float))).tocsc()

@@ -157,9 +157,12 @@ class TestPrice:
         ("--solver-config", {"n_time": 20.5}, "n_time"),
         ("--solver-config", {"penalty_ladder": 100}, "penalty_ladder"),
         ("--solver-config", {"penalty_ladder": []}, "penalty_ladder"),
+        ("--mc-config", {"seed": 2.5}, "seed"),
+        ("--mc-config", {"seed": -1}, "seed"),
     ], ids=["n_threads-0", "n_threads-2.5", "threads-flag-neg3", "n_paths-2000.5",
             "n_steps-20.5", "basis_degree-2.5", "basis_degree-neg1", "n_space-101.0",
-            "n_time-20.5", "penalty_ladder-100", "penalty_ladder-empty"])
+            "n_time-20.5", "penalty_ladder-100", "penalty_ladder-empty", "seed-2.5",
+            "seed-neg1"])
     def test_counts_and_ladder_are_usage_errors(self, tmp_path, capsys, flag, spec, key):
         # each once ran on one thread with exit 0, or ended in a traceback (exit 1)
         base = {"--mc-config": {"n_paths": 1000, "n_steps": 10},
@@ -174,6 +177,18 @@ class TestPrice:
                      *extra])
         assert code == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("beta", "5"), ("trunc_tol", True),
+                                            ("y_max_tail", [1e-10]), ("exercise_tol", "1e-6")])
+    def test_non_numeric_solver_reals_are_usage_errors(self, tmp_path, capsys, key, value):
+        # "beta": "5" once ended in a TypeError traceback (exit 1) in build_grid
+        solver = _write(tmp_path, "solver.json", {"n_space": 101, "n_time": 20, "beta": 5.0,
+                                                  key: value})
+        code = main(["price", "--model", str(CONFIGS / "models" / "bs1d.json"),
+                     "--payoff", str(CONFIGS / "payoffs" / "put100_1d.json"), "--spot", "100",
+                     "--T", "1.0", "--method", "pide", "--solver-config", solver])
+        assert code == 2
+        assert f"{key} must be a real number" in capsys.readouterr().err
 
     def test_spot_dimension_mismatch(self, small_setup):
         model, payoff, solver, mc, out = small_setup

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
 # loaded where they are used: scipy.special for Merton stencils, scipy.fft
@@ -66,3 +68,19 @@ def test_kou_price_loads_no_deferred_scipy_submodule(tmp_path):
             "--out", str(tmp_path / "out")]
     assert _run(f"import sys\n{_quiet_main(argv)}\n{_loaded(DEFERRED)}").strip() == "[]"
     assert (tmp_path / "out" / "european_solution.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["kou1d", "bs1d", "empirical1d"])
+def test_one_dimensional_price_loads_no_scipy(tmp_path, model):
+    # a 1D PIDE solve factors its tridiagonal matrices in numpy; a Merton
+    # stencil (scipy.special) and a 2D solve (scipy.sparse) still load scipy
+    solver = tmp_path / "solver.json"
+    solver.write_text(json.dumps({"n_space": 101, "n_time": 20, "beta": 2.0}))
+    mc = tmp_path / "mc.json"
+    mc.write_text(json.dumps({"n_paths": 2000, "n_steps": 20, "seed": 5}))
+    argv = ["price", "--method", "both", "--model", str(ROOT / f"configs/models/{model}.json"),
+            "--payoff", str(ROOT / "configs/payoffs/put100_1d.json"), "--spot", "100",
+            "--T", "1", "--solver-config", str(solver), "--mc-config", str(mc),
+            "--out", str(tmp_path / "out")]
+    assert _scipy_modules(_quiet_main(argv)) == "[]"
+    assert (tmp_path / "out" / "american_solution.csv").exists()

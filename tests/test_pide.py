@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation, binary_erosion
 
 import levypricer as lp
 from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
-from oracles import bs_put, crr_american_put, merton_put_series
+from oracles import bs_put, crr_american_put, merton_put_series, sparse_operator_1d
 
 SPOT = 100.0
 
@@ -139,7 +141,7 @@ class TestSolveEuropean:
         zmesh = grid.mesh()
         for k in (0, grid.n_time // 2):
             tau = grid.T - grid.times[k]
-            lower = far_field_values(put_1d, bs_model, np.exp(zmesh), tau, american=False)
+            lower = far_field_values(put_1d, bs_model, np.exp(zmesh), tau)
             assert (eur.values[k] - lower).min() > -5e-3
 
 
@@ -381,7 +383,8 @@ def _reference_residual(solution, op, payoff, kink_layers=3, terminal_buffer=0.0
         tau = grid.T - grid.times[k]
         if tau < terminal_buffer * grid.T:
             continue
-        ring = far_field_values(payoff, op.model, op.ring_prices, tau, american)
+        ring = far_field_values(payoff, op.model, op.ring_prices, tau,
+                                payoff.evaluate(op.ring_prices) if american else None)
         gen = (op.local @ u[k].ravel()).reshape(grid.shape) + op.convolve(op.extend(u[k], ring)) \
             - op.model.rates.r * u[k]
         pde = -(u[k + 1] - u[k - 1]) / (2.0 * grid.dt) - gen
@@ -459,8 +462,8 @@ class TestJumpOperator:
             uq = np.empty_like(zq)
             uq[inside] = np.interp(zq[inside], z, u0)
             if np.any(~inside):
-                ff = far_field_values(put_1d, merton_model,
-                                      np.exp(zq[~inside][:, None]), tau, american=True)
+                prices = np.exp(zq[~inside][:, None])
+                ff = far_field_values(put_1d, merton_model, prices, tau, put_1d.evaluate(prices))
                 uq[~inside] = ff
             grad = (np.interp(z[j] + grid.dz[0], z, u0)
                     - np.interp(z[j] - grid.dz[0], z, u0)) / (2 * grid.dz[0])
@@ -607,6 +610,75 @@ def _uncached_fft_convolve_valid(a, kernel):
     fshape = [next_fast_len(sa + sk - 1, True) for sa, sk in zip(a.shape, kernel.shape)]
     out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
     return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
+
+
+def _dense(matrix: pide.Tridiagonal) -> np.ndarray:
+    return np.diag(matrix.main) + np.diag(matrix.lower[1:], -1) + np.diag(matrix.upper[:-1], 1)
+
+
+def _drift_model(a: float, carry: float, lam: float = 0.0):
+    """A 1D model with diffusion variance `a` and r - delta = `carry`; Kou
+    jumps of intensity `lam`."""
+    jumps = lp.JumpSpec(lam, lp.KouDoubleExponential(p_up=[0.4], eta_plus=[10.0], eta_minus=[5.0])) \
+        if lam else lp.JumpSpec(0.0)
+    return lp.LevyModel.build(lp.GaussianPart(a=[[a]]), jumps, lp.Rates(r=0.3, delta=[0.3 - carry]))
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("case", ["bs", "merton", "kou", "upwind_up", "upwind_down"])
+    def test_bands_match_sparse_assembly(self, case, request, put_1d):
+        # the 1D local, step and penalized matrices hold, bit for bit, the
+        # entries of the scipy.sparse assembly they replaced
+        model = request.getfixturevalue(f"{case}_model") if "_" not in case \
+            else _drift_model(1e-4, 0.2 if case == "upwind_up" else -0.2)
+        grid = lp.build_grid(model, put_1d, [SPOT], 1.0, 401, 100, beta=4.0, trunc_tol=1e-5)
+        peclet = abs(model.log_drift[0]) * grid.dz[0] / model.gaussian.a[0, 0]
+        assert (peclet > 1.0) == ("_" in case)
+        op = lp.assemble(model, grid)
+        rng = np.random.default_rng(11)
+        active = grid.interior.ravel() & (rng.random(grid.n_space) < 0.4)
+        refs = sparse_operator_1d(model, grid, 1e3, active)
+        for got, ref in zip((op.local, op.step_matrix, op.penalized_matrix(1e3, active)), refs):
+            assert got.main.tobytes() == ref.diagonal().tobytes()
+            assert got.lower.tobytes() == np.r_[0.0, ref.diagonal(-1)].tobytes()
+            assert got.upper.tobytes() == np.r_[ref.diagonal(1), 0.0].tobytes()
+        x = rng.uniform(-50.0, 150.0, grid.n_space)
+        assert np.all(np.abs(op.local @ x - refs[0] @ x) <= 1e-15 * (abs(refs[0]) @ abs(x)))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(a=st.floats(1e-4, 0.2), carry=st.floats(-0.3, 0.3), lam=st.floats(0.0, 5.0),
+           n_time=st.integers(10, 400), n_space=st.sampled_from([51, 201, 401]),
+           n_pen=st.sampled_from([1e2, 1e3, 1e4]), share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_solve_matches_dense(self, put_1d, a, carry, lam, n_time, n_space, n_pen, share,
+                                 seed):
+        # cell Peclet numbers above and below 1 for either drift sign, with
+        # and without jumps, on the step matrix and on a penalized set
+        model = _drift_model(a, carry, lam)
+        grid = lp.build_grid(model, put_1d, [SPOT], 1.0, n_space, n_time, beta=4.0,
+                             trunc_tol=1e-5)
+        op = lp.assemble(model, grid)
+        rng = np.random.default_rng(seed)
+        active = grid.interior.ravel() & (rng.random(n_space) < share)
+        rhs = rng.uniform(-1.0, 100.0, n_space) / grid.dt
+        for matrix in (op.step_matrix, op.penalized_matrix(n_pen, active)):
+            x = pide.splu(matrix).solve(rhs)
+            ref = np.linalg.solve(_dense(matrix), rhs)
+            assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_fine_step_matrix_stops_doubling_early(self, bs_model, put_1d):
+        # 801 nodes and n_time 4000: the multipliers are about 0.06, so the
+        # coefficients of a full doubling (ten strides) underflow to zero; the
+        # solve stops once every coefficient left is below 2^-53
+        grid = lp.build_grid(bs_model, put_1d, [SPOT], 1.0, 801, 4000, beta=5.0, trunc_tol=1e-5)
+        op = lp.assemble(bs_model, grid)
+        rhs = np.random.default_rng(5).uniform(0.0, 100.0, grid.n_space) / grid.dt
+        active = grid.interior.ravel() & (grid.axes[0] < np.log(SPOT))
+        for matrix in (op.step_matrix, op.penalized_matrix(1e4, active)):
+            lu = pide.splu(matrix)
+            assert len(lu._forward) <= 5 and len(lu._backward) <= 5
+            ref = np.linalg.solve(_dense(matrix), rhs)
+            assert np.abs(lu.solve(rhs) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_solver_config_roundtrip():
