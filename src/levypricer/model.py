@@ -107,12 +107,14 @@ class MertonNormal:
         det = np.prod(np.diag(self.chol)) ** 2
         return np.exp(-0.5 * quad) / np.sqrt((2.0 * np.pi) ** d * det)
 
-    def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> tuple:
         # Sum of N iid normals is N(N*mean, N*cov); exact without drawing
-        # individual jumps.
-        n = counts.shape[0]
-        g = rng.standard_normal((n, self.dim))
-        return counts[:, None] * self.mean + np.sqrt(counts)[:, None] * (g @ self.chol.T)
+        # individual jumps.  Every row draws and is multiplied, so the BLAS
+        # product never depends on how many rows jump.
+        g = rng.standard_normal((counts.shape[0], self.dim)) @ self.chol.T
+        rows = np.flatnonzero(counts)
+        n = counts[rows, None]
+        return rows, n * self.mean + np.sqrt(n) * g[rows]
 
 
 @dataclass(frozen=True)
@@ -166,20 +168,15 @@ class KouDoubleExponential:
     def cell_masses(self, axes, dz) -> np.ndarray:
         return _cdf_cell_masses(self, axes, dz)
 
-    def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        n = counts.shape[0]
-        total = int(counts.sum())
-        out = np.zeros((n, self.dim))
-        if total == 0:
-            return out
-        owner = np.repeat(np.arange(n), counts)
+    def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> tuple:
+        rows, owner, total, out = _jump_owners(counts, self.dim)
         for i in range(self.dim):
             sign_up = rng.random(total) < self.p_up[i]
             mag_up = rng.exponential(1.0 / self.eta_plus[i], size=total)
             mag_dn = rng.exponential(1.0 / self.eta_minus[i], size=total)
             vals = np.where(sign_up, mag_up, -mag_dn)
             np.add.at(out[:, i], owner, vals)
-        return out
+        return rows, out
 
 
 @dataclass(frozen=True)
@@ -226,16 +223,19 @@ class Empirical:
                 out[tuple(lo + c for lo, c in zip(idx_lo, corner))] += prob * w
         return out
 
-    def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        n = counts.shape[0]
-        total = int(counts.sum())
-        out = np.zeros((n, self.dim))
-        if total == 0:
-            return out
-        owner = np.repeat(np.arange(n), counts)
+    def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> tuple:
+        rows, owner, total, out = _jump_owners(counts, self.dim)
         idx = rng.choice(self.jumps.shape[0], size=total, p=self.probs)
         np.add.at(out, owner, self.jumps[idx])
-        return out
+        return rows, out
+
+
+def _jump_owners(counts: np.ndarray, dim: int) -> tuple:
+    """The rows with `counts > 0`, the position in them of each jump, the
+    number of jumps (0 draws nothing) and a zero `(rows.size, dim)` sum."""
+    rows = np.flatnonzero(counts)
+    owner = np.repeat(np.arange(rows.size), counts[rows])
+    return rows, owner, owner.size, np.zeros((rows.size, dim))
 
 
 def _cdf_cell_masses(law, axes, dz) -> np.ndarray:
@@ -465,22 +465,24 @@ def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
 
 def _simulate_block(model: LevyModel, log_x: np.ndarray, dt: float, n_steps: int,
                     rng: np.random.Generator, n_block: int) -> np.ndarray:
-    """Exact-in-law log-price increments for one block of paths."""
+    """Exact-in-law log paths of one block, `(n_block, n_steps + 1, d)`: the
+    transposed view of a time-major store, so `block[:, k]` is contiguous."""
     d = model.dim
     sigma = model.gaussian.factor()
-    b = model.log_drift
+    drift = model.log_drift * dt
     lam = model.jumps.intensity
     sq = np.sqrt(dt)
-    logs = np.empty((n_block, n_steps + 1, d))
-    logs[:, 0, :] = log_x
+    logs = np.empty((n_steps + 1, n_block, d))
+    logs[0] = log_x
     for k in range(n_steps):
-        z = rng.standard_normal((n_block, d))
-        incr = b * dt + sq * (z @ sigma.T)
+        incr = rng.standard_normal((n_block, d)) @ sigma.T
+        incr *= sq
+        incr += drift
         if lam > 0:
-            counts = rng.poisson(lam * dt, size=n_block)
-            incr += model.jumps.law.sample_sums(rng, counts)
-        logs[:, k + 1, :] = logs[:, k, :] + incr
-    return logs
+            rows, sums = model.jumps.law.sample_sums(rng, rng.poisson(lam * dt, size=n_block))
+            incr[rows] += sums
+        np.add(logs[k], incr, out=logs[k + 1])
+    return logs.transpose(1, 0, 2)
 
 
 def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,

@@ -155,14 +155,12 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
     def backward(stream: int, fit: bool) -> np.ndarray:
         """Discounted cash flows of one path set under the policy in `coefs`,
         fitting it date by date first when `fit` is set."""
-        blocks = simulate_log_blocks(model, x, s, T, n_steps, n_paths, seed,
-                                     stream=stream, n_threads=n_threads)
-        logs = np.empty((n_steps + 1, n_paths, model.dim))  # time-major: logs[k] is contiguous
-        for lo, block in blocks:
-            logs[:, lo:lo + block.shape[0]] = block.transpose(1, 0, 2)
-        cash = payoff.evaluate(np.exp(logs[-1]))
+        # the simulated blocks are the only path store; block[:, k] is contiguous
+        blocks = [block for _, block in simulate_log_blocks(
+            model, x, s, T, n_steps, n_paths, seed, stream=stream, n_threads=n_threads)]
+        cash = payoff.evaluate(np.exp(np.concatenate([b[:, -1] for b in blocks])))
         for k in range(n_steps - 1, 0, -1):
-            zk = logs[k]
+            zk = np.concatenate([b[:, k] for b in blocks])
             pay = payoff.evaluate(np.exp(zk))
             cash = cash * disc
             itm = np.flatnonzero(pay > 0)
@@ -219,7 +217,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
         nb = block.shape[0]
         inside = np.ones(nb, dtype=bool)
         for k in range(n_steps):
-            zk = np.ascontiguousarray(block[:, k, :])  # one strided gather, contiguous reads
+            zk = block[:, k, :]
             inside &= _across(np.logical_and, (zk >= grid.z_min) & (zk <= grid.z_max))
             rows = np.flatnonzero(inside)  # block rows; paths lo + rows
             if not rows.size:

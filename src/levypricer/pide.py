@@ -61,17 +61,22 @@ class SolverConfig:
             ladder = known["penalty_ladder"]
             if not isinstance(ladder, (list, tuple)):
                 raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
-            known["penalty_ladder"] = tuple(float(v) for v in ladder)
+            known["penalty_ladder"] = tuple(_real(v, "penalty_ladder entry") for v in ladder)
         for key in ("beta", "trunc_tol", "y_max_tail", "exercise_tol"):
             if key in known:
-                value = known[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{key} must be a real number, got {value!r}")
-                known[key] = float(value)
+                known[key] = _real(known[key], key)
         return cls(**known)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "penalty_ladder": list(self.penalty_ladder)}
+
+
+def _real(value, name: str) -> float:
+    """`value` as a float: an int or float (a bool or a string is not one),
+    else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def config_fields(cls, spec: dict) -> dict:

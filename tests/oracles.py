@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's own solvers: closed-form
 Black-Scholes, a CRR binomial tree for the American put, and the classic
-Poisson-mixture series for the Merton European put.
+Poisson-mixture series for the Merton European put.  The reference path
+simulator keeps the path-major layout the package's simulator replaced.
 """
 
 import numpy as np
 from scipy.stats import norm
+
+from levypricer.model import Empirical, MertonNormal
 
 
 def bs_put(S, K, T, r, sigma, q=0.0):
@@ -63,3 +66,48 @@ def sparse_operator_1d(model, grid, n_pen, active):
     local = sp.diags(interior) @ local.tocsr()
     step = (sp.diags(interior) @ (sp.identity(n) / dt - local) + sp.diags(1.0 - interior)).tocsc()
     return local.tocsr(), step, (step + sp.diags(n_pen * active.astype(float))).tocsc()
+
+
+def reference_sample_sums(law, rng, counts):
+    """Jump sums of every row, zero where `counts` is 0, by the full-size
+    samplers of the three laws that the row-selecting ones replaced; same
+    draws in the same order."""
+    n, dim = counts.shape[0], law.dim
+    if isinstance(law, MertonNormal):  # N jumps sum to N(N mean, N cov)
+        g = rng.standard_normal((n, dim))
+        return counts[:, None] * law.mean + np.sqrt(counts)[:, None] * (g @ law.chol.T)
+    total = int(counts.sum())
+    out = np.zeros((n, dim))
+    if total == 0:
+        return out
+    owner = np.repeat(np.arange(n), counts)
+    if isinstance(law, Empirical):
+        idx = rng.choice(law.jumps.shape[0], size=total, p=law.probs)
+        np.add.at(out, owner, law.jumps[idx])
+        return out
+    for i in range(dim):  # Kou: independent double-exponential components
+        sign_up = rng.random(total) < law.p_up[i]
+        mag_up = rng.exponential(1.0 / law.eta_plus[i], size=total)
+        mag_dn = rng.exponential(1.0 / law.eta_minus[i], size=total)
+        np.add.at(out[:, i], owner, np.where(sign_up, mag_up, -mag_dn))
+    return out
+
+
+def reference_simulate_block(model, log_x, dt, n_steps, rng, n_block):
+    """Path-major log paths `(n_block, n_steps + 1, d)` of one block, written
+    one strided step at a time, as the time-major simulator replaced."""
+    d = model.dim
+    sigma = model.gaussian.factor()
+    b = model.log_drift
+    lam = model.jumps.intensity
+    sq = np.sqrt(dt)
+    logs = np.empty((n_block, n_steps + 1, d))
+    logs[:, 0, :] = log_x
+    for k in range(n_steps):
+        z = rng.standard_normal((n_block, d))
+        incr = b * dt + sq * (z @ sigma.T)
+        if lam > 0:
+            counts = rng.poisson(lam * dt, size=n_block)
+            incr += reference_sample_sums(model.jumps.law, rng, counts)
+        logs[:, k + 1, :] = logs[:, k, :] + incr
+    return logs

@@ -190,6 +190,18 @@ class TestPrice:
         assert code == 2
         assert f"{key} must be a real number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ladder", [[True, 1e3, 1e4], [1e2, "1e3", 1e4], [1e2, 1e3, None]],
+                             ids=["bool", "string", "null"])
+    def test_non_numeric_ladder_entries_are_usage_errors(self, tmp_path, capsys, ladder):
+        # [true, "1e3", 10000] once ran as the ladder (1.0, 1000.0, 10000.0) with exit 0
+        solver = _write(tmp_path, "solver.json", {"n_space": 101, "n_time": 20, "beta": 5.0,
+                                                  "penalty_ladder": ladder})
+        code = main(["price", "--model", str(CONFIGS / "models" / "bs1d.json"),
+                     "--payoff", str(CONFIGS / "payoffs" / "put100_1d.json"), "--spot", "100",
+                     "--T", "1.0", "--method", "pide", "--solver-config", solver])
+        assert code == 2
+        assert "penalty_ladder entry must be a real number" in capsys.readouterr().err
+
     def test_spot_dimension_mismatch(self, small_setup):
         model, payoff, solver, mc, out = small_setup
         code = main(["price", "--model", model, "--payoff", payoff,

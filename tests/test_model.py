@@ -9,8 +9,10 @@ import pytest
 import levypricer as lp
 import levypricer.model as model_mod
 from levypricer.model import FAILS, HOLDS_ANALYTIC
+from oracles import reference_simulate_block
 
-MODEL_CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs" / "models").glob("*.json"))
+MODEL_DIR = pathlib.Path(__file__).parent.parent / "configs" / "models"
+MODEL_CONFIGS = sorted(MODEL_DIR.glob("*.json"))
 
 
 def test_calibrate_drift_pure_diffusion():
@@ -215,6 +217,38 @@ class TestSimulatePaths:
             time.sleep(0.02)
         assert count["started"] == count["yielded"] == n_blocks
         assert count["ahead"] <= n_threads
+
+
+# a second block of 100 paths has many steps where no path jumps
+REFERENCE_PATHS = model_mod._PATH_BLOCK + 100
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("name", ["bs1d", "merton1d", "kou1d", "empirical1d", "merton2d"])
+def test_blocks_match_path_major_reference(name, n_threads):
+    model = lp.load_model(MODEL_DIR / f"{name}.json")
+    spot, T, n_steps, seed, stream = np.full(model.dim, 100.0), 1.0, 25, 29, 1
+    blocks = list(model_mod.simulate_log_blocks(model, spot, 0.0, T, n_steps, REFERENCE_PATHS,
+                                                seed, stream=stream, n_threads=n_threads))
+    assert [lo for lo, _ in blocks] == [0, model_mod._PATH_BLOCK]
+    for idx, (lo, block) in enumerate(blocks):
+        ref = reference_simulate_block(model, np.log(spot), T / n_steps, n_steps,
+                                       model_mod._block_rng(seed, stream, idx),
+                                       min(model_mod._PATH_BLOCK, REFERENCE_PATHS - lo))
+        assert block.shape == ref.shape
+        assert np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize("name", ["kou1d", "merton2d"])
+def test_block_dates_are_contiguous(name):
+    # consumers read date k as block[:, k] without a gather
+    model = lp.load_model(MODEL_DIR / f"{name}.json")
+    n_steps = 7
+    for lo, block in model_mod.simulate_log_blocks(model, np.full(model.dim, 100.0), 0.0, 1.0,
+                                                   n_steps, REFERENCE_PATHS, seed=3):
+        assert block.shape == (min(model_mod._PATH_BLOCK, REFERENCE_PATHS - lo), n_steps + 1,
+                               model.dim)
+        assert all(block[:, k].flags.c_contiguous for k in range(n_steps + 1))
 
 
 @pytest.mark.parametrize("jumps, probs, dz", [

@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +476,25 @@ def test_lsmc_matches_path_major_reference(request, case, n_threads, n_paths):
                             n_threads=n_threads)
     ref = _path_major_lsmc(model, payoff, spot, 1.0, 20, n_paths, basis, 17, n_threads)
     assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
+
+
+def test_lsmc_holds_its_paths_once():
+    # the simulated blocks are the only path store: no second copy of them,
+    # and pass 1's paths are gone before pass 2 simulates
+    model = lp.load_model(CONFIGS / "models" / "kou1d.json")
+    payoff = lp.load_payoff(CONFIGS / "payoffs" / "put100_1d.json")
+    n_paths, n_steps = 16_384, 50
+    store = n_paths * (n_steps + 1) * model.dim * 8
+    # a first small call does the one-time imports (numpy.random), so the
+    # traced peak holds only what the call itself allocates
+    price_american_ls(model, payoff, 0.0, [SPOT], 1.0, 10, 100, seed=1)
+    tracemalloc.start()
+    try:
+        price_american_ls(model, payoff, 0.0, [SPOT], 1.0, n_steps, n_paths, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * store, f"peak {peak / store:.2f} x the path store"
 
 
 # --------------------------------------------------------------------------- #
