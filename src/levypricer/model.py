@@ -77,14 +77,16 @@ class MertonNormal:
         return float(np.exp(q * self.mean[i] + 0.5 * q * q * self.cov[i, i]))
 
     def component_radius(self, i: int, tail: float) -> float:
-        from scipy.special import ndtri
-        z = -ndtri(tail / 2.0)  # standard normal upper quantile
+        from statistics import NormalDist
+        z = -NormalDist().inv_cdf(tail / 2.0)  # standard normal upper quantile
         return abs(self.mean[i]) + z * np.sqrt(max(self.cov[i, i], 0.0))
 
     def component_cdf(self, y: np.ndarray, i: int) -> np.ndarray:
-        from scipy.special import ndtr
+        # element by element: the stencil axes hold a few hundred points
         sd = np.sqrt(max(self.cov[i, i], 1e-300))
-        return ndtr((y - self.mean[i]) / sd)
+        x = (y - self.mean[i]) / sd
+        return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.ravel().tolist()]
+                        ).reshape(x.shape)
 
     def cell_masses(self, axes, dz) -> np.ndarray:
         """Probability of each stencil cell centred on the `axes` nodes: the CDF

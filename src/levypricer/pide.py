@@ -14,10 +14,12 @@ low-rank update of the last penalized factor (2D).
 `solve_pair` is the pipeline: grid, operator, American and European solves.
 
 In 1D the implicit matrices are `Tridiagonal` and `splu` factors them in
-numpy, so a 1D solve imports no scipy.  In 2D `assemble` and the operator's
-matrix builds import `scipy.sparse`, and `splu` imports `scipy.sparse.linalg`,
-where they are used: scipy costs more import time than numpy, and the
-package, `validate` and Monte Carlo need none of it.
+numpy, so a 1D solve imports no scipy.  The jump convolution (numpy.fft in
+2D) and the residual masks are numpy too.  Only the 2D implicit step uses
+scipy: `assemble` and the operator's matrix builds import `scipy.sparse`, and
+`splu` imports `scipy.sparse.linalg`, where they are used: scipy costs more
+import time than numpy, and the package, `validate` and Monte Carlo need none
+of it.
 """
 
 from __future__ import annotations
@@ -297,22 +299,19 @@ class DiscreteOperator:
         """sum_c K[c] u(z + y_c) on the core lattice, from an extended array."""
         if self.grid.dim == 1:
             return np.convolve(extended, self.stencil[::-1], "valid")
-        from scipy.fft import irfftn, rfftn
         fshape, kernel = self._stencil_fft
-        out = irfftn(rfftn(extended, fshape) * kernel, fshape)
+        out = np.fft.irfftn(np.fft.rfftn(extended, fshape, axes=(0, 1)) * kernel, fshape,
+                            axes=(0, 1))
         return out[tuple(slice(sk - 1, sa) for sa, sk in zip(extended.shape, self.stencil.shape))]
 
     @cached_property
     def _stencil_fft(self) -> tuple:
         """(padded shape, rfftn of the flipped stencil) of the 2D convolution's
-        zero-padded real FFTs.  Padding to the next fast length of the full
-        size follows scipy.signal.fftconvolve bit for bit; a circular FFT at
-        the core size is off in the last ulp, which flips round-off values at
-        psi = 0 in and out of the penalty active set."""
-        from scipy.fft import next_fast_len, rfftn
-        fshape = [next_fast_len(self.grid.n_space + 2 * m + sk - 1, True)
+        zero-padded real FFTs, each axis padded from the full linear size to
+        the next 5-smooth length (`_next_fast_len`)."""
+        fshape = [_next_fast_len(self.grid.n_space + 2 * m + sk - 1)
                   for m, sk in zip(self.offsets, self.stencil.shape)]
-        return fshape, rfftn(self.stencil[::-1, ::-1], fshape)
+        return fshape, np.fft.rfftn(self.stencil[::-1, ::-1], fshape, axes=(0, 1))
 
     def extend(self, core: np.ndarray, ring_values: np.ndarray) -> np.ndarray:
         """The core field inside the far-field values of the ring around it."""
@@ -368,6 +367,19 @@ class DiscreteOperator:
     def step_lu(self):
         """LU of `step_matrix`, shared by every solve on this operator."""
         return _factor(self.step_matrix)
+
+
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n (n >= 1): a length numpy's FFT factors
+    into its fast radices, the rule of scipy's real-input `next_fast_len`."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def splu(matrix, **options):
@@ -754,21 +766,6 @@ def _compensate(operator: DiscreteOperator, conv: np.ndarray, core: np.ndarray,
     return out
 
 
-def apply_jump_operator(solution: Solution, operator: DiscreteOperator, k: int) -> np.ndarray:
-    """L_I u at time level k: compensated jump integral of the stored field.
-
-    In log coordinates: (K * u)(z) - lambda u(z) - sum_i lambda kappa_i d_i u(z),
-    with values beyond the grid taken from the far-field extension.
-    """
-    grid = solution.grid
-    if operator.lam == 0:
-        return np.zeros(grid.shape)
-    core = solution.values[k]
-    floor = solution.payoff.evaluate(operator.ring_prices) if solution.kind == "american" else None
-    conv = _jump_convolution(operator, solution.payoff, core, grid.T - grid.times[k], floor)
-    return _compensate(operator, conv, core)
-
-
 def _jump_field(operator: DiscreteOperator, payoff: Payoff, values: np.ndarray,
                 conv: np.ndarray, ring_floor: np.ndarray | None = None) -> np.ndarray:
     """L_I u per level, in place of `conv` (zero when lambda = 0).
@@ -784,6 +781,24 @@ def _jump_field(operator: DiscreteOperator, payoff: Payoff, values: np.ndarray,
     return conv
 
 
+def _shifts(mask: np.ndarray) -> list:
+    """`mask` moved one cell either way along each axis, the cells it leaves
+    False: the cross neighbours of every cell, outside the array counted False."""
+    padded, core = np.pad(mask, 1), (slice(1, -1),) * mask.ndim
+    return [padded[core[:axis] + (slice(1 + step, padded.shape[axis] - 1 + step),) + core[axis + 1:]]
+            for axis in range(mask.ndim) for step in (-1, 1)]
+
+
+def _exercise_band(exercise: np.ndarray) -> np.ndarray:
+    """The `_KINK_LAYERS`-cell band around the exercise set's boundary: the
+    set's edge (the set minus its erosion) dilated `_KINK_LAYERS` times, each
+    step by the cross of `_shifts`."""
+    band = exercise & ~np.logical_and.reduce(_shifts(exercise))
+    for _ in range(_KINK_LAYERS):
+        band = np.logical_or.reduce([band, *_shifts(band)])
+    return band
+
+
 def complementarity_residual(solution: Solution, operator: DiscreteOperator,
                              payoff: Payoff):
     """min(-D_t u - L u + r u, u - psi) on interior levels, masked max-norm.
@@ -797,7 +812,6 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
     band around the exercise-set boundary; and levels with
     tau < `_TERMINAL_BUFFER` * T, where no scheme is in its asymptotic regime yet.
     """
-    from scipy.ndimage import binary_dilation, binary_erosion
     grid = solution.grid
     u = solution.values
     psi = solution.obstacle
@@ -818,10 +832,7 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
         radius = max(_KINK_LAYERS * grid.dz.max(), 4.0 * np.sqrt(a_max * tau))
         mask = grid.interior & (margin >= radius)
         if american:
-            ex = solution.exercise_set[k]
-            edge = ex ^ binary_erosion(ex)
-            layer = binary_dilation(edge, iterations=_KINK_LAYERS)
-            mask &= ~layer
+            mask &= ~_exercise_band(solution.exercise_set[k])
         level = np.full(grid.shape, np.nan)
         level[mask] = res[mask]
         field[k - 1] = level

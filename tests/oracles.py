@@ -4,12 +4,16 @@ These deliberately avoid the package's own solvers: closed-form
 Black-Scholes, a CRR binomial tree for the American put, and the classic
 Poisson-mixture series for the Merton European put.  The reference path
 simulator keeps the path-major layout the package's simulator replaced.
+The scipy references of the numpy and stdlib code that replaced them:
+Merton's normal CDF and quantile by `scipy.special`, the 2D jump convolution
+by `scipy.fft` and the residual's masks by `scipy.ndimage`.
 """
 
 import numpy as np
 from scipy.stats import norm
 
 from levypricer.model import Empirical, MertonNormal
+from levypricer.pide import _compensate, _jump_convolution
 
 
 def bs_put(S, K, T, r, sigma, q=0.0):
@@ -46,6 +50,18 @@ def merton_put_series(S, K, T, r, lam, jump_mean, jump_std, sigma, n_terms=60):
         sigma_n = np.sqrt(sigma ** 2 + n * jump_std ** 2 / T)
         total += prob * bs_put(S, K, T, r_n, sigma_n)
     return float(total)
+
+
+def ndtr_component_cdf(law, y, i):
+    """`MertonNormal.component_cdf` by `scipy.special.ndtr`."""
+    from scipy.special import ndtr
+    return ndtr((y - law.mean[i]) / np.sqrt(max(law.cov[i, i], 1e-300)))
+
+
+def ndtri_component_radius(law, i, tail):
+    """`MertonNormal.component_radius` by `scipy.special.ndtri`."""
+    from scipy.special import ndtri
+    return abs(law.mean[i]) - ndtri(tail / 2.0) * np.sqrt(max(law.cov[i, i], 0.0))
 
 
 def sparse_operator_1d(model, grid, n_pen, active):
@@ -111,3 +127,33 @@ def reference_simulate_block(model, log_x, dt, n_steps, rng, n_block):
             incr += reference_sample_sums(model.jumps.law, rng, counts)
         logs[:, k + 1, :] = logs[:, k, :] + incr
     return logs
+
+
+def apply_jump_operator(solution, operator, k):
+    """L_I u at time level k: the compensated jump integral of the stored
+    field, (K * u)(z) - lambda u(z) - sum_i lambda kappa_i d_i u(z) in log
+    coordinates, with values beyond the grid from the far-field extension.
+    Convolves the level afresh, as a reference for the stored jump field."""
+    grid = solution.grid
+    if operator.lam == 0:
+        return np.zeros(grid.shape)
+    core = solution.values[k]
+    floor = solution.payoff.evaluate(operator.ring_prices) if solution.kind == "american" else None
+    conv = _jump_convolution(operator, solution.payoff, core, grid.T - grid.times[k], floor)
+    return _compensate(operator, conv, core)
+
+
+def scipy_fft_convolve_valid(a, kernel):
+    """'valid' 2D convolution by `scipy.fft` real transforms, padded to
+    scipy's real `next_fast_len` of the full size."""
+    from scipy.fft import irfftn, next_fast_len, rfftn
+    fshape = [next_fast_len(sa + sk - 1, True) for sa, sk in zip(a.shape, kernel.shape)]
+    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
+    return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
+
+
+def ndimage_exercise_band(exercise, layers):
+    """The exercise set's edge (the set minus its erosion) dilated `layers`
+    times, by `scipy.ndimage` with its default cross structure."""
+    from scipy.ndimage import binary_dilation, binary_erosion
+    return binary_dilation(exercise ^ binary_erosion(exercise), iterations=layers)

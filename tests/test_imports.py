@@ -8,9 +8,13 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
-# loaded where they are used: scipy.special for Merton stencils, scipy.fft
-# for 2D jump convolutions, scipy.ndimage for the complementarity residual
-DEFERRED = "(['scipy', 'special'], ['scipy', 'ndimage'], ['scipy', 'fft'])"
+# the only scipy modules the package imports, where the 2D implicit step
+# uses them: scipy.sparse for its matrices, scipy.sparse.linalg for SuperLU
+DEFERRED = "(['scipy', 'sparse'],)"
+# the modules whose numpy and stdlib replacements the package uses (Merton's
+# normal CDF and quantile, the 2D convolution, the residual's masks); the
+# tests keep them as oracles
+REPLACED = "(['scipy', 'special'], ['scipy', 'fft'], ['scipy', 'ndimage'])"
 
 
 def _run(code: str) -> str:
@@ -70,10 +74,10 @@ def test_kou_price_loads_no_deferred_scipy_submodule(tmp_path):
     assert (tmp_path / "out" / "european_solution.csv").exists()
 
 
-@pytest.mark.parametrize("model", ["kou1d", "bs1d", "empirical1d"])
+@pytest.mark.parametrize("model", ["kou1d", "bs1d", "empirical1d", "merton1d"])
 def test_one_dimensional_price_loads_no_scipy(tmp_path, model):
-    # a 1D PIDE solve factors its tridiagonal matrices in numpy; a Merton
-    # stencil (scipy.special) and a 2D solve (scipy.sparse) still load scipy
+    # a 1D PIDE solve factors its tridiagonal matrices in numpy, and a Merton
+    # stencil takes its normal CDF and quantile from the stdlib
     solver = tmp_path / "solver.json"
     solver.write_text(json.dumps({"n_space": 101, "n_time": 20, "beta": 2.0}))
     mc = tmp_path / "mc.json"
@@ -84,3 +88,26 @@ def test_one_dimensional_price_loads_no_scipy(tmp_path, model):
             "--out", str(tmp_path / "out")]
     assert _scipy_modules(_quiet_main(argv)) == "[]"
     assert (tmp_path / "out" / "american_solution.csv").exists()
+
+
+def test_two_dimensional_price_loads_only_the_sparse_modules(tmp_path):
+    solver = tmp_path / "solver.json"
+    solver.write_text(json.dumps({"n_space": 51, "n_time": 10, "beta": 5.0, "trunc_tol": 1e-5}))
+    argv = ["price", "--method", "pide", "--model", str(ROOT / "configs/models/merton2d.json"),
+            "--payoff", str(ROOT / "configs/payoffs/minput100_2d.json"), "--spot", "100,100",
+            "--T", "0.5", "--solver-config", str(solver), "--out", str(tmp_path / "out")]
+    out = _run(f"import sys\n{_quiet_main(argv)}\n{_loaded(REPLACED)}\n{_loaded(DEFERRED)}")
+    replaced, deferred = out.strip().splitlines()
+    assert replaced == "[]"
+    assert "'scipy.sparse.linalg'" in deferred
+    assert (tmp_path / "out" / "american_solution.csv").exists()
+
+
+def test_one_dimensional_converge_loads_no_scipy(tmp_path):
+    # the residual's exercise-band masks are numpy shifts
+    argv = ["converge", "--model", str(ROOT / "configs/models/bs1d.json"),
+            "--payoff", str(ROOT / "configs/payoffs/put100_1d.json"), "--spot", "100",
+            "--T", "1", "--levels", "51,10,500;101,20,500;201,40,500",
+            "--out", str(tmp_path / "out")]
+    assert _scipy_modules(_quiet_main(argv)) == "[]"
+    assert (tmp_path / "out" / "converge.csv").exists()

@@ -9,7 +9,7 @@ import pytest
 import levypricer as lp
 import levypricer.model as model_mod
 from levypricer.model import FAILS, HOLDS_ANALYTIC
-from oracles import reference_simulate_block
+from oracles import ndtr_component_cdf, ndtri_component_radius, reference_simulate_block
 
 MODEL_DIR = pathlib.Path(__file__).parent.parent / "configs" / "models"
 MODEL_CONFIGS = sorted(MODEL_DIR.glob("*.json"))
@@ -362,3 +362,42 @@ def test_merton_cholesky_factored_once_per_law():
     assert one == lp.MertonNormal(mean=[-0.1], cov=[[0.0225]])
     with pytest.raises(TypeError):
         hash(one)
+
+
+class TestMertonLawAgainstScipy:
+    LAW = lp.MertonNormal(mean=[0.0], cov=[[1.0]])
+
+    def test_cdf(self):
+        # past x = -37.68 ndtr underflows to 0 where erfc keeps subnormals
+        x = np.linspace(-38.0, 38.0, 20001)
+        got, ref = self.LAW.component_cdf(x, 0), ndtr_component_cdf(self.LAW, x, 0)
+        assert np.all(np.abs(got - ref) <= 5e-13 * ref + 1e-300)  # measured 4.3e-13
+
+    def test_quantile_within_five_ulp(self):
+        tails = np.logspace(-16, -1, 1501)
+        got = np.array([self.LAW.component_radius(0, t) for t in tails])
+        ref = np.array([ndtri_component_radius(self.LAW, 0, t) for t in tails])
+        assert np.all(np.abs(got - ref) <= 5 * np.spacing(ref))  # measured 4
+
+    @pytest.mark.parametrize("name, solver, payoff, spot, T", [
+        ("merton1d", "merton_put", "put100_1d", [100.0], 1.0),
+        ("merton2d", "minput2d", "minput100_2d", [100.0, 100.0], 0.5)])
+    def test_shipped_grids_and_stencils(self, name, solver, payoff, spot, T, monkeypatch):
+        configs = MODEL_DIR.parent
+        model = lp.load_model(MODEL_DIR / f"{name}.json")
+        payoff = lp.load_payoff(configs / "payoffs" / f"{payoff}.json")
+        cfg = lp.SolverConfig.from_dict(json.loads((configs / "solver" / f"{solver}.json").read_text()))
+
+        def operator():
+            grid = lp.build_grid(model, payoff, spot, T, cfg.n_space, cfg.n_time, cfg.beta,
+                                 cfg.trunc_tol, cfg.y_max_tail)
+            return grid, lp.assemble(model, grid, cfg.y_max_tail)
+
+        grid, op = operator()
+        monkeypatch.setattr(lp.MertonNormal, "component_cdf", ndtr_component_cdf)
+        monkeypatch.setattr(lp.MertonNormal, "component_radius", ndtri_component_radius)
+        ref_grid, ref_op = operator()
+        assert grid.z_min.tobytes() == ref_grid.z_min.tobytes()
+        assert grid.z_max.tobytes() == ref_grid.z_max.tobytes()
+        assert op.offsets == ref_op.offsets
+        assert np.abs(op.stencil - ref_op.stencil).max() <= 1e-16  # measured 1.2e-17

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import binary_dilation, binary_erosion
+from scipy.ndimage import binary_erosion
 
 import levypricer as lp
 from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
-from oracles import bs_put, crr_american_put, merton_put_series, sparse_operator_1d
+from oracles import (apply_jump_operator, bs_put, crr_american_put, merton_put_series,
+                     ndimage_exercise_band, scipy_fft_convolve_valid, sparse_operator_1d)
 
 SPOT = 100.0
 
@@ -291,7 +292,7 @@ class TestSolveAmerican:
         _, op, amer, eur = request.getfixturevalue(solves)
         for sol in (amer, eur):
             for k in range(sol.grid.n_time + 1):
-                again = lp.apply_jump_operator(sol, op, k)
+                again = apply_jump_operator(sol, op, k)
                 assert sol.jump_field[k].tobytes() == again.tobytes(), (sol.kind, k)
 
     def test_ladder_must_increase(self, bs_model, put_1d, bs_solves):
@@ -364,6 +365,14 @@ class TestResidual:
             assert np.nanmax(np.abs(field - ref)) <= 1e-13 * (1.0 + np.abs(sol.values).max())
             assert norm == np.nanmax(np.abs(field))
 
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(1,), (7,), (40,), (1, 9), (6, 5), (25, 31)]),
+           st.floats(0.05, 0.95))
+    @settings(max_examples=150, deadline=None)
+    def test_exercise_band_matches_ndimage(self, seed, shape, density):
+        # random 1D and 2D sets, edges and one-cell axes included
+        ex = np.random.default_rng(seed).random(shape) < density
+        assert np.array_equal(pide._exercise_band(ex), ndimage_exercise_band(ex, pide._KINK_LAYERS))
+
     def test_american_norm_scale(self, bs_solves, put_1d):
         grid, op, amer, _ = bs_solves
         _, norm = lp.complementarity_residual(amer, op, put_1d)
@@ -392,7 +401,7 @@ def _reference_residual(solution, op, payoff, kink_layers=3, terminal_buffer=0.0
         mask = grid.interior & (margin >= max(kink_layers * grid.dz.max(), 4.0 * np.sqrt(a_max * tau)))
         if american:
             ex = solution.exercise_set[k]
-            mask &= ~binary_dilation(ex ^ binary_erosion(ex), iterations=kink_layers)
+            mask &= ~ndimage_exercise_band(ex, kink_layers)
         field[k - 1][mask] = res[mask]
     return field
 
@@ -410,7 +419,7 @@ class TestJumpOperator:
         sol = lp.Solution(grid=grid, kind="european", payoff=const,
                           values=sol.values, obstacle=np.ones(grid.shape),
                           exercise_set=sol.exercise_set, jump_field=sol.jump_field)
-        field = lp.apply_jump_operator(sol, op, grid.n_time)
+        field = apply_jump_operator(sol, op, grid.n_time)
         # tau = 0 at the terminal level so the far-field frame is exactly 1
         assert np.abs(field).max() < 1e-10
 
@@ -431,7 +440,7 @@ class TestJumpOperator:
                           obstacle=prices,
                           exercise_set=np.zeros((n_levels, *grid.shape), bool),
                           jump_field=np.zeros((n_levels, *grid.shape)))
-        field = lp.apply_jump_operator(sol, op, grid.n_time)
+        field = apply_jump_operator(sol, op, grid.n_time)
         m = op.offsets[0]
         sl = slice(m + 2, -(m + 2))
         rel = np.abs(field[sl]) / prices[sl]
@@ -583,19 +592,27 @@ class TestTwoDimensional:
     def test_convolve_transforms_the_stencil_once(self, merton2d_model, min_put_2d,
                                                   monkeypatch):
         # the kernel and the padded shape are fixed per operator, so only the
-        # field is transformed per call; the result is the uncached one, bitwise
-        import scipy.fft
+        # field is transformed per call; the result is the uncached one,
+        # bitwise, and scipy.fft's within round-off
         grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 61, 20, beta=5.0,
                              trunc_tol=1e-5)
         op = lp.assemble(merton2d_model, grid)
-        calls, rfftn = [], scipy.fft.rfftn
-        monkeypatch.setattr(scipy.fft, "rfftn", lambda *a, **kw: calls.append(1) or rfftn(*a, **kw))
+        calls, rfftn = [], np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda *a, **kw: calls.append(1) or rfftn(*a, **kw))
         fields = np.random.default_rng(3).uniform(0.0, 50.0, (3, *(grid.n_space + 2 * m
                                                                   for m in op.offsets)))
         for ext in fields:
             ref = _uncached_fft_convolve_valid(ext, op.stencil[::-1, ::-1])
-            assert op.convolve(ext).tobytes() == ref.tobytes()
+            out = op.convolve(ext)
+            assert out.tobytes() == ref.tobytes()
+            scipy_ref = scipy_fft_convolve_valid(ext, op.stencil[::-1, ::-1])
+            assert np.abs(out - scipy_ref).max() <= 1e-14 * np.abs(scipy_ref).max()
         assert len(calls) == 3 + 1 + 6  # three fields, the stencil once; the reference six
+
+    def test_fast_length_is_scipys(self):
+        from scipy.fft import next_fast_len
+        assert [pide._next_fast_len(n) for n in range(1, 5000)] == \
+            [next_fast_len(n, True) for n in range(1, 5000)]
 
     def test_interpolate_bilinear(self, minput2d_solves):
         grid, _, amer, _ = minput2d_solves
@@ -605,10 +622,12 @@ class TestTwoDimensional:
 
 
 def _uncached_fft_convolve_valid(a, kernel):
-    """Reference 'valid' convolution that transforms the kernel on every call."""
-    from scipy.fft import irfftn, next_fast_len, rfftn
+    """Reference 'valid' convolution by numpy real FFTs that transforms the
+    kernel on every call."""
+    from scipy.fft import next_fast_len
     fshape = [next_fast_len(sa + sk - 1, True) for sa, sk in zip(a.shape, kernel.shape)]
-    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
+    out = np.fft.irfftn(np.fft.rfftn(a, fshape, axes=(0, 1))
+                        * np.fft.rfftn(kernel, fshape, axes=(0, 1)), fshape, axes=(0, 1))
     return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
 
 
