@@ -8,8 +8,8 @@ from .errors import (BetaTooSmall, GridCoverageTooSmall, InvalidDomain, KinkTooC
                      QuadratureTailTooHeavy, SchemeNotMonotone)
 from .model import (Empirical, GaussianPart, JumpSpec, KouDoubleExponential,
                     LevyModel, MertonNormal, PathSet, Rates, ValidationReport,
-                    calibrate_drift, exp_moment, load_model, model_from_dict,
-                    model_to_dict, simulate_paths, validate_integrability)
+                    exp_moment, load_model, model_from_dict, model_to_dict,
+                    simulate_paths, validate_integrability)
 from .monte_carlo import (Estimate, MCConfig, RegressionBasis, estimate_premium_mc,
                           price_american_ls, price_european_mc)
 from .payoffs import Payoff, load_payoff, payoff_from_dict

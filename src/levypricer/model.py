@@ -4,7 +4,8 @@ Prices follow x_i * exp((r - delta_i) t + xi_t^i) with xi a d-dimensional
 Levy process made of a nondegenerate Gaussian part and finite-activity
 compound-Poisson jumps.  The module owns drift calibration (so discounted
 dividend-adjusted prices are martingales), integrability validation for the
-moment conditions the pricing theory needs, and exact-in-law path simulation.
+moment conditions the pricing theory needs, the spot-and-maturity rule both
+engines share, and exact-in-law path simulation.
 """
 
 from __future__ import annotations
@@ -325,39 +326,49 @@ class Rates:
             raise ValueError("dividend yields must be nonnegative")
 
 
-def calibrate_drift(gaussian: GaussianPart, jumps: JumpSpec, rates: Rates) -> np.ndarray:
-    """Log-price drift making discounted dividend-adjusted prices martingales.
-
-    b_i = r - delta_i - a_ii/2 - lambda * (E[e^{J_i}] - 1).  Raises
-    NonIntegrableJump when E[e^{J_i}] diverges (e.g. Kou eta_plus <= 1,
-    rejected at construction already).
-    """
-    d = gaussian.dim
-    kappa = jumps.mean_exp_minus_one(d)
-    return rates.r - rates.delta - 0.5 * np.diag(gaussian.a) - jumps.intensity * kappa
-
-
 @dataclass(frozen=True)
 class LevyModel:
-    dim: int
     gaussian: GaussianPart
     jumps: JumpSpec
     rates: Rates
 
     def __post_init__(self):
-        if self.gaussian.dim != self.dim or self.rates.delta.shape[0] != self.dim:
+        if self.rates.delta.shape[0] != self.dim:
             raise ValueError("component dimensions disagree")
         if self.jumps.active and self.jumps.law.dim != self.dim:
             raise ValueError("jump law dimension disagrees")
 
-    @classmethod
-    def build(cls, gaussian: GaussianPart, jumps: JumpSpec, rates: Rates) -> "LevyModel":
-        return cls(dim=gaussian.dim, gaussian=gaussian, jumps=jumps, rates=rates)
+    @property
+    def dim(self) -> int:
+        return self.gaussian.dim
 
     @cached_property
     def log_drift(self) -> np.ndarray:
-        """The calibrated log-price drift (`calibrate_drift`), computed once per model."""
-        return calibrate_drift(self.gaussian, self.jumps, self.rates)
+        """Log-price drift making discounted dividend-adjusted prices
+        martingales, computed once per model.
+
+        b_i = r - delta_i - a_ii/2 - lambda * (E[e^{J_i}] - 1).  Raises
+        NonIntegrableJump when E[e^{J_i}] diverges (e.g. Kou eta_plus <= 1,
+        rejected at construction already).
+        """
+        kappa = self.jumps.mean_exp_minus_one(self.dim)
+        return self.rates.r - self.rates.delta - 0.5 * np.diag(self.gaussian.a) \
+            - self.jumps.intensity * kappa
+
+
+def check_spot_and_maturity(model: LevyModel, spot, maturity: float) -> np.ndarray:
+    """The spot as a `(dim,)` array, checked with the time to maturity: one
+    finite, positive price per asset (a ValueError for the count, else
+    InvalidDomain) and a finite, positive `maturity` (a ValueError).  Both
+    engines call it: the PIDE grid with T, every path simulation with T - s."""
+    spot = np.atleast_1d(np.asarray(spot, dtype=float))
+    if spot.shape != (model.dim,):
+        raise ValueError(f"spot has {spot.size} coordinate(s) but the model has {model.dim} asset(s)")
+    if not np.all(np.isfinite(spot) & (spot > 0)):
+        raise InvalidDomain(f"spot prices must be finite and strictly positive, got {spot.tolist()}")
+    if not (np.isfinite(maturity) and maturity > 0):
+        raise ValueError(f"time to maturity must be finite and positive, got {maturity!r}")
+    return spot
 
 
 # --------------------------------------------------------------------------- #
@@ -489,25 +500,19 @@ def _simulate_block(model: LevyModel, log_x: np.ndarray, dt: float, n_steps: int
 
 def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
                         n_steps: int, n_paths: int, seed: int,
-                        stream: int = 0, n_threads: int | None = None):
+                        stream: int = 0, n_threads: int = 1):
     """An iterator of (start_index, log-path block) pairs in deterministic order.
 
     Block boundaries and substreams are fixed by the block size alone, so the
     output never depends on the thread count.  Every Monte Carlo estimator
-    simulates here, so here the spot's length, the step, path and thread
-    counts (None: 1 thread) and the seed are checked: at the call, before any
-    block is simulated, so a caller may size its arrays by them once this
-    returns.
+    simulates here, so here the spot and the horizon T - s
+    (`check_spot_and_maturity`), the step, path and thread counts and the
+    seed are checked: at the call, before any block is simulated, so a caller
+    may size its arrays by them once this returns.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.dim,):
-        raise ValueError(f"spot has {x.size} coordinate(s) but the model has {model.dim} asset(s)")
-    if np.any(x <= 0):
-        raise InvalidDomain("initial prices must be strictly positive")
-    if T <= s:
-        raise ValueError("need T > s")
+    x = check_spot_and_maturity(model, x, T - s)
     n_steps, n_paths = whole_number(n_steps, "n_steps", 1), whole_number(n_paths, "n_paths", 1)
-    n_threads = 1 if n_threads is None else whole_number(n_threads, "n_threads", 1)
+    n_threads = whole_number(n_threads, "n_threads", 1)
     seed = whole_number(seed, "seed", 0)
     dt = (T - s) / n_steps
     log_x = np.log(x)
@@ -532,7 +537,7 @@ def simulate_log_blocks(model: LevyModel, x: np.ndarray, s: float, T: float,
 
 
 def simulate_paths(model: LevyModel, s: float, x, T: float, n_steps: int,
-                   n_paths: int, seed: int, n_threads: int | None = None) -> PathSet:
+                   n_paths: int, seed: int, n_threads: int = 1) -> PathSet:
     """Simulate price paths on a uniform grid over [s, T].
 
     Each step is exact in law: Gaussian increment plus a Poisson number of
@@ -575,7 +580,7 @@ def model_from_dict(spec: dict) -> LevyModel:
     gaussian = GaussianPart(a=spec["a"])
     rates = Rates(r=float(spec["rates"]["r"]), delta=spec["rates"]["delta"])
     jumps = jumps_from_dict(spec.get("jumps", {"kind": "none"}))
-    model = LevyModel.build(gaussian, jumps, rates)
+    model = LevyModel(gaussian, jumps, rates)
     if model.dim != whole_number(spec["dim"], "dim", 1):
         raise ValueError("declared dim disagrees with matrix shapes")
     return model

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import GridCoverageTooSmall, OutOfDomain
-from .model import LevyModel, simulate_log_blocks, whole_number
+from .model import LevyModel, check_spot_and_maturity, simulate_log_blocks, whole_number
 from .payoffs import Payoff, _across
 from .pide import Solution, config_fields, interp_level
 
@@ -34,7 +34,7 @@ class MCConfig:
     n_steps: int = 50
     seed: int = 20240901
     basis_degree: int = 3
-    n_threads: int | None = None
+    n_threads: int = 1
 
     @classmethod
     def from_dict(cls, spec: dict) -> "MCConfig":
@@ -53,7 +53,7 @@ def _estimate(samples: np.ndarray, n_paths: int, seed: int) -> Estimate:
 
 
 def price_european_mc(model: LevyModel, payoff: Payoff, s: float, x, T: float,
-                      n_paths: int, seed: int, n_threads: int | None = None) -> Estimate:
+                      n_paths: int, seed: int, n_threads: int = 1) -> Estimate:
     """Discounted mean of psi(X_T); one exact step since the payoff is terminal."""
     disc = np.exp(-model.rates.r * (T - s))
     blocks = simulate_log_blocks(model, np.asarray(x, dtype=float), s, T, 1, n_paths, seed,
@@ -136,7 +136,7 @@ def _fit_continuation(basis: RegressionBasis, design: np.ndarray, dim: int,
 
 def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
                       n_steps: int, n_paths: int, basis: RegressionBasis | None = None,
-                      seed: int = 0, n_threads: int | None = None) -> Estimate:
+                      seed: int = 0, n_threads: int = 1) -> Estimate:
     """Two-pass least-squares Monte Carlo.
 
     Continuation values are fitted on one path set and the exercise policy is
@@ -146,8 +146,8 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
     if n_steps < 10:
         raise ValueError("need at least 10 exercise dates")
     basis = basis or RegressionBasis()
-    x = np.asarray(x, dtype=float)
-    center = np.log(np.atleast_1d(x))
+    x = check_spot_and_maturity(model, x, T - s)
+    center = np.log(x)
     dt = (T - s) / n_steps
     disc = np.exp(-model.rates.r * dt)
     coefs: dict[int, tuple] = {}
@@ -188,7 +188,7 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
 
 def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float, x,
                   T: float, n_paths: int, seed: int, exercise_tols: tuple,
-                  n_threads: int | None = None) -> dict:
+                  n_threads: int = 1) -> dict:
     """Pathwise premium integral for several exercise-band tolerances at once.
 
     Time grid matches the PIDE grid; paths exiting the lattice stop
@@ -249,7 +249,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
 
 def estimate_premium_mc(model: LevyModel, payoff: Payoff, solution: Solution,
                         s: float, x, T: float, n_paths: int, n_steps: int,
-                        seed: int, n_threads: int | None = None) -> Estimate:
+                        seed: int, n_threads: int = 1) -> Estimate:
     """Monte Carlo estimate of the early-exercise premium.
 
     Averages the discounted integral of 1_{exercise band} 1_{Psi^- > 0}

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
                      PenaltyNonMonotone, QuadratureTailTooHeavy, SchemeNotMonotone)
-from .model import LevyModel, corners, whole_number
+from .model import LevyModel, check_spot_and_maturity, corners, whole_number
 from .payoffs import Payoff
 
 if TYPE_CHECKING:
@@ -63,21 +63,25 @@ class SolverConfig:
             ladder = known["penalty_ladder"]
             if not isinstance(ladder, (list, tuple)):
                 raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
-            known["penalty_ladder"] = tuple(_real(v, "penalty_ladder entry") for v in ladder)
-        for key in ("beta", "trunc_tol", "y_max_tail", "exercise_tol"):
+            known["penalty_ladder"] = tuple(_real(v, "penalty_ladder entry", 0.0) for v in ladder)
+        for key, lower, upper in (("beta", -np.inf, np.inf), ("trunc_tol", 0.0, 1.0),
+                                  ("y_max_tail", 0.0, 1.0), ("exercise_tol", 0.0, np.inf)):
             if key in known:
-                known[key] = _real(known[key], key)
+                known[key] = _real(known[key], key, lower, upper)
         return cls(**known)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "penalty_ladder": list(self.penalty_ladder)}
 
 
-def _real(value, name: str) -> float:
-    """`value` as a float: an int or float (a bool or a string is not one),
-    else a ValueError naming `name`."""
+def _real(value, name: str, lower: float = -np.inf, upper: float = np.inf) -> float:
+    """`value` as a float: an int or float (a bool or a string is not one)
+    strictly between `lower` and `upper`, so finite, else a ValueError
+    naming `name`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not lower < value < upper:  # NaN fails every comparison
+        raise ValueError(f"{name} must be finite and in ({lower:g}, {upper:g}), got {value!r}")
     return float(value)
 
 
@@ -169,9 +173,7 @@ def build_grid(model: LevyModel, payoff: Payoff, spot, T: float, n_space: int,
     if beta <= p:
         raise BetaTooSmall(f"beta = {beta} must exceed the growth exponent p = {p}")
     n_space, n_time = whole_number(n_space, "n_space", 51), whole_number(n_time, "n_time", 10)
-    spot = np.atleast_1d(np.asarray(spot, dtype=float))
-    if spot.shape != (model.dim,):
-        raise ValueError(f"spot has {spot.size} coordinate(s) but the model has {model.dim} asset(s)")
+    spot = check_spot_and_maturity(model, spot, T)
     y_max = model.jumps.radius(y_max_tail, model.dim)
     a_max = float(np.diag(model.gaussian.a).max())
     b_max = float(np.abs(model.log_drift).max())
@@ -288,7 +290,6 @@ class DiscreteOperator:
     stencil: np.ndarray         # jump cell masses, sums to lambda
     offsets: tuple              # stencil half-width in cells per axis
     kappa: np.ndarray           # E[e^{J_i}] - 1
-    y_max: float
     raw_mass_defect: float      # |sum(raw stencil) - lambda| before normalization
 
     @property
@@ -414,7 +415,7 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
     lam = model.jumps.intensity
     dz = grid.dz
     if lam == 0:
-        return np.zeros((1,) * grid.dim), (0,) * grid.dim, 0.0, 0.0
+        return np.zeros((1,) * grid.dim), (0,) * grid.dim, 0.0
     radius = model.jumps.radius(y_max_tail, model.dim)
     m = tuple(int(np.ceil(radius / dz[i])) for i in range(grid.dim))
     cover = min(m[i] * dz[i] for i in range(grid.dim))
@@ -428,7 +429,7 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
     if total <= 0:
         raise QuadratureTailTooHeavy("jump stencil carries no mass")
     stencil = raw * (lam / total)  # row-sum correction: constants must map to zero
-    return stencil, m, radius, defect
+    return stencil, m, defect
 
 
 def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_max_tail) -> DiscreteOperator:
@@ -471,11 +472,11 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_ma
         local = local - lam * sp.identity(n ** grid.dim)
         local = (sp.diags(interior.astype(float)) @ local.tocsr()).tocsr()
 
-    stencil, m, radius, defect = _jump_stencil(model, grid, y_max_tail)
+    stencil, m, defect = _jump_stencil(model, grid, y_max_tail)
     kappa = model.jumps.mean_exp_minus_one(model.dim)
     return DiscreteOperator(grid=grid, model=model, local=local,
                             boundary_mask=~interior, stencil=stencil, offsets=m,
-                            kappa=kappa, y_max=radius, raw_mass_defect=defect)
+                            kappa=kappa, raw_mass_defect=defect)
 
 
 # --------------------------------------------------------------------------- #

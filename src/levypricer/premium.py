@@ -1,8 +1,8 @@
 """Early-exercise premium identity and the exercise boundary.
 
 The identity under test: American value = European value + discounted
-expected integral of (Psi^- - L_I u) over the exercise region.  Both PIDE
-prices and the Monte Carlo premium are produced here and compared inside a
+expected integral of (Psi^- - L_I u) over the exercise region.  The caller's
+PIDE solves and the Monte Carlo premium estimated here are compared inside a
 single machine-checkable report.
 """
 
@@ -16,7 +16,7 @@ from .errors import ModelRejected
 from .model import LevyModel, validate_integrability
 from .monte_carlo import Estimate, MCConfig, premium_sweep
 from .payoffs import Payoff
-from .pide import Grid, Solution, SolverConfig, solve_pair
+from .pide import Solution, SolverConfig
 
 SENSITIVITY_TOLS = (1e-5, 1e-6, 1e-7)
 
@@ -62,31 +62,25 @@ def check_admissible(model: LevyModel, payoff: Payoff, solver_cfg: SolverConfig)
 
 
 def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
-                     solver_cfg: SolverConfig | None = None,
-                     mc_cfg: MCConfig | None = None,
-                     solutions: tuple[Solution, Solution] | None = None) -> PremiumReport:
-    """Price both sides of the premium identity and assemble the report.
+                     solver_cfg: SolverConfig, mc_cfg: MCConfig,
+                     solutions: tuple[Solution, Solution]) -> PremiumReport:
+    """Assemble the report from solved (american, european) `solutions`.
 
-    Refuses inadmissible models (`check_admissible`) before any solve, and
-    `solutions` solved for another payoff or spot.  The identity gap is
+    Refuses inadmissible models (`check_admissible`), and `solutions` solved
+    for another payoff or spot.  The identity gap is
     |american - european - premium| at the solver's exercise tolerance; the
     sensitivity map re-evaluates the Monte Carlo premium for the band
     tolerances 1e-5, 1e-6, 1e-7 from the same paths.
     """
-    solver_cfg = solver_cfg or SolverConfig()
-    mc_cfg = mc_cfg or MCConfig()
     check_admissible(model, payoff, solver_cfg)
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
-    if solutions is None:
-        _, _, american, european = solve_pair(model, payoff, spot, T, solver_cfg)
-    else:
-        american, european = solutions
-        if american.kind != "american" or european.kind != "european":
-            raise ValueError("expected (american, european) solutions")
-        for sol in solutions:
-            if sol.payoff.to_dict() != payoff.to_dict() or not np.array_equal(sol.grid.z_center, np.log(spot)):
-                raise ValueError(f"the {sol.kind} solution was solved for {sol.payoff.to_dict()} at spot "
-                                 f"{np.exp(sol.grid.z_center).tolist()}, not this payoff and spot")
+    american, european = solutions
+    if american.kind != "american" or european.kind != "european":
+        raise ValueError("expected (american, european) solutions")
+    for sol in solutions:
+        if sol.payoff.to_dict() != payoff.to_dict() or not np.array_equal(sol.grid.z_center, np.log(spot)):
+            raise ValueError(f"the {sol.kind} solution was solved for {sol.payoff.to_dict()} at spot "
+                             f"{np.exp(sol.grid.z_center).tolist()}, not this payoff and spot")
 
     base_tol = american.exercise_tol
     tols = tuple(sorted(set(SENSITIVITY_TOLS) | {base_tol}, reverse=True))
@@ -115,23 +109,11 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
 # Exercise boundary
 # --------------------------------------------------------------------------- #
 
-def _boundary_price(grid: Grid, mask: np.ndarray, payoff: Payoff) -> float | None:
-    """Free-boundary price of one d = 1 exercise-set slice: the largest
-    exercised node for puts, the smallest for calls; None when it is empty."""
-    if not mask.any():
-        return None
-    prices = np.exp(grid.axes[0])
-    exercised = prices[mask]
-    return float(exercised.max()) if payoff.is_put else float(exercised.min())
-
-
 def boundary_curve(solution: Solution, payoff: Payoff) -> np.ndarray:
-    """Rows (t, boundary_price) per time level; NaN where the region is empty."""
+    """Rows (t, boundary_price) per time level: the largest exercised price for
+    puts, the smallest for calls; NaN where the region is empty."""
     grid = solution.grid
-    rows = np.full((grid.n_time + 1, 2), np.nan)
-    rows[:, 0] = grid.times
-    for k in range(grid.n_time + 1):
-        b = _boundary_price(grid, solution.exercise_set[k], payoff)
-        if b is not None:
-            rows[k, 1] = b
-    return rows
+    prices = np.exp(grid.axes[0])
+    reduce, empty = (np.max, -np.inf) if payoff.is_put else (np.min, np.inf)
+    bound = reduce(np.where(solution.exercise_set, prices, empty), axis=1)
+    return np.column_stack([grid.times, np.where(solution.exercise_set.any(axis=1), bound, np.nan)])

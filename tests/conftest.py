@@ -18,23 +18,23 @@ STRIKE = 100.0
 
 @pytest.fixture(scope="session")
 def bs_model():
-    return lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
-                              lp.Rates(r=0.05, delta=[0.0]))
+    return lp.LevyModel(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
+                        lp.Rates(r=0.05, delta=[0.0]))
 
 
 @pytest.fixture(scope="session")
 def merton_model():
     jumps = lp.JumpSpec(0.1, lp.MertonNormal(mean=[-0.1], cov=[[0.0225]]))
-    return lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), jumps,
-                              lp.Rates(r=0.05, delta=[0.0]))
+    return lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
+                        lp.Rates(r=0.05, delta=[0.0]))
 
 
 @pytest.fixture(scope="session")
 def kou_model():
     jumps = lp.JumpSpec(0.3, lp.KouDoubleExponential(p_up=[0.4], eta_plus=[10.0],
                                                      eta_minus=[5.0]))
-    return lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), jumps,
-                              lp.Rates(r=0.05, delta=[0.0]))
+    return lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
+                        lp.Rates(r=0.05, delta=[0.0]))
 
 
 @pytest.fixture(scope="session")
@@ -42,14 +42,14 @@ def merton2d_model():
     a = [[0.04, 0.012], [0.012, 0.04]]
     jumps = lp.JumpSpec(0.1, lp.MertonNormal(mean=[-0.05, -0.05],
                                              cov=[[0.01, 0.0], [0.0, 0.01]]))
-    return lp.LevyModel.build(lp.GaussianPart(a=a), jumps,
-                              lp.Rates(r=0.05, delta=[0.02, 0.01]))
+    return lp.LevyModel(lp.GaussianPart(a=a), jumps,
+                        lp.Rates(r=0.05, delta=[0.02, 0.01]))
 
 
 @pytest.fixture(scope="session")
 def zero_rate_model():
-    return lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
-                              lp.Rates(r=0.0, delta=[0.0]))
+    return lp.LevyModel(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
+                        lp.Rates(r=0.0, delta=[0.0]))
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,42 @@ def bs_put(S, K, T, r, sigma, q=0.0):
     return K * np.exp(-r * T) * norm.cdf(-d2) - S * np.exp(-q * T) * norm.cdf(-d1)
 
 
+def bivariate_normal_cdf(h, k, rho):
+    """P(X <= h, Y <= k) for standard normals of correlation |rho| < 1, by
+    Owen's T function (Owen 1956); h and k nonzero."""
+    from scipy.special import owens_t
+    assert h != 0 and k != 0 and abs(rho) < 1
+    root = np.sqrt(1.0 - rho * rho)
+    tail = 0.0 if h * k > 0 else 0.5
+    return float(0.5 * (norm.cdf(h) + norm.cdf(k)) - owens_t(h, (k - rho * h) / (h * root))
+                 - owens_t(k, (h - rho * k) / (k * root)) - tail)
+
+
+def stulz_two_asset(S, K, T, r, q, a):
+    """European (max-call, min-put) on two lognormal assets: spot S, strike K,
+    dividend yields q and log-return covariance a (Stulz 1982, Johnson 1987).
+
+    The max-call is Johnson's formula.  The min-put follows from
+    min(S1, S2) = S1 - (S1 - S2)^+ (Margrabe's exchange value), the call on
+    the min = two Black-Scholes calls less the max-call, and put-call parity.
+    """
+    s1, s2 = np.sqrt(a[0][0]), np.sqrt(a[1][1])
+    rho = a[0][1] / (s1 * s2)
+    sig = np.sqrt(a[0][0] + a[1][1] - 2.0 * a[0][1])
+    f1, f2, disc = S[0] * np.exp(-q[0] * T), S[1] * np.exp(-q[1] * T), K * np.exp(-r * T)
+    d = (np.log(S[0] / S[1]) + (q[1] - q[0] + 0.5 * sig ** 2) * T) / (sig * np.sqrt(T))
+    y1 = (np.log(S[0] / K) + (r - q[0] + 0.5 * s1 ** 2) * T) / (s1 * np.sqrt(T))
+    y2 = (np.log(S[1] / K) + (r - q[1] + 0.5 * s2 ** 2) * T) / (s2 * np.sqrt(T))
+    max_call = f1 * bivariate_normal_cdf(y1, d, (s1 - rho * s2) / sig) \
+        + f2 * bivariate_normal_cdf(y2, -d + sig * np.sqrt(T), (s2 - rho * s1) / sig) \
+        - disc * (1.0 - bivariate_normal_cdf(-y1 + s1 * np.sqrt(T), -y2 + s2 * np.sqrt(T), rho))
+    exchange = f1 * norm.cdf(d) - f2 * norm.cdf(d - sig * np.sqrt(T))
+    calls = [bs_put(S[i], K, T, r, sd, q[i]) + S[i] * np.exp(-q[i] * T) - disc
+             for i, sd in enumerate((s1, s2))]
+    min_call = sum(calls) - max_call
+    return float(max_call), float(min_call - (f1 - exchange) + disc)
+
+
 def crr_american_put(S, K, T, r, sigma, steps, q=0.0):
     dt = T / steps
     u = np.exp(sigma * np.sqrt(dt))

@@ -159,12 +159,24 @@ class TestPrice:
         ("--solver-config", {"penalty_ladder": []}, "penalty_ladder"),
         ("--mc-config", {"seed": 2.5}, "seed"),
         ("--mc-config", {"seed": -1}, "seed"),
+        ("--mc-config", {"n_threads": None}, "n_threads"),
+        ("--solver-config", {"trunc_tol": 0}, "trunc_tol"),
+        ("--solver-config", {"trunc_tol": 2.0}, "trunc_tol"),
+        ("--solver-config", {"beta": float("nan")}, "beta"),
+        ("--solver-config", {"beta": float("inf")}, "beta"),
+        ("--solver-config", {"penalty_ladder": [0.0]}, "penalty_ladder entry"),
+        ("--solver-config", {"y_max_tail": 0}, "y_max_tail"),
+        ("--solver-config", {"y_max_tail": -1}, "y_max_tail"),
+        ("--solver-config", {"exercise_tol": -1}, "exercise_tol"),
     ], ids=["n_threads-0", "n_threads-2.5", "threads-flag-neg3", "n_paths-2000.5",
             "n_steps-20.5", "basis_degree-2.5", "basis_degree-neg1", "n_space-101.0",
             "n_time-20.5", "penalty_ladder-100", "penalty_ladder-empty", "seed-2.5",
-            "seed-neg1"])
+            "seed-neg1", "n_threads-null", "trunc_tol-0", "trunc_tol-2", "beta-nan",
+            "beta-inf", "penalty_ladder-0", "y_max_tail-0", "y_max_tail-neg1",
+            "exercise_tol-neg1"])
     def test_counts_and_ladder_are_usage_errors(self, tmp_path, capsys, flag, spec, key):
-        # each once ran on one thread with exit 0, or ended in a traceback (exit 1)
+        # each once ran on one thread or with a shifted or NaN price and exit 0,
+        # or ended in a traceback (exit 1)
         base = {"--mc-config": {"n_paths": 1000, "n_steps": 10},
                 "--solver-config": {"n_space": 101, "n_time": 20, "beta": 5.0}}
         if flag == "--threads":
@@ -208,6 +220,24 @@ class TestPrice:
                      "--spot", "100,90", "--T", "1.0"])
         assert code == 2
 
+
+    @pytest.mark.parametrize("method, spot, T, words", [
+        ("pide", "100", "0", "maturity"), ("pide", "100", "-1", "maturity"),
+        ("pide", "100", "nan", "maturity"), ("pide", "-5", "1.0", "spot"),
+        ("pide", "nan", "1.0", "spot"), ("mc", "nan", "1.0", "spot"),
+        ("mc", "100", "nan", "maturity"), ("mc", "100", "inf", "maturity")])
+    def test_bad_spot_or_maturity_prints_no_price(self, tmp_path, capsys, method, spot, T,
+                                                  words):
+        # the PIDE once printed NaN prices with exit 0 (T = 0: a ZeroDivisionError
+        # traceback), and the Monte Carlo side failed in the LSMC regression
+        solver = _write(tmp_path, "solver.json", {"n_space": 201, "n_time": 40, "beta": 5.0})
+        mc = _write(tmp_path, "mc.json", {"n_paths": 1000, "n_steps": 10})
+        code = main(["price", "--model", str(CONFIGS / "models" / "bs1d.json"),
+                     "--payoff", str(CONFIGS / "payoffs" / "put100_1d.json"), "--spot", spot,
+                     "--T", T, "--method", method, "--solver-config", solver, "--mc-config", mc])
+        captured = capsys.readouterr()
+        assert code != 0 and captured.out == ""
+        assert words in captured.err
 
     def test_payoff_model_dimension_mismatch(self, small_setup, tmp_path):
         _, payoff, _, _, out = small_setup  # a 1-asset put on the 2-asset model

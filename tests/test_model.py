@@ -16,9 +16,9 @@ MODEL_CONFIGS = sorted(MODEL_DIR.glob("*.json"))
 
 
 def test_calibrate_drift_pure_diffusion():
-    g = lp.GaussianPart(a=[[0.04]])
-    b = lp.calibrate_drift(g, lp.JumpSpec(0.0), lp.Rates(r=0.05, delta=[0.0]))
-    assert b == pytest.approx([0.03], abs=1e-15)
+    model = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
+                         lp.Rates(r=0.05, delta=[0.0]))
+    assert model.log_drift == pytest.approx([0.03], abs=1e-15)
 
 
 def test_calibrate_drift_merton(merton_model):
@@ -29,9 +29,9 @@ def test_calibrate_drift_merton(merton_model):
 
 
 def test_calibrate_drift_two_assets():
-    g = lp.GaussianPart(a=np.eye(2) * 0.04)
-    b = lp.calibrate_drift(g, lp.JumpSpec(0.0), lp.Rates(r=0.0, delta=[0.02, 0.0]))
-    assert b == pytest.approx([-0.04, -0.02], abs=1e-15)
+    model = lp.LevyModel(lp.GaussianPart(a=np.eye(2) * 0.04), lp.JumpSpec(0.0),
+                         lp.Rates(r=0.0, delta=[0.02, 0.0]))
+    assert model.log_drift == pytest.approx([-0.04, -0.02], abs=1e-15)
 
 
 def test_drift_calibration_matches_mc_mean(merton_model):
@@ -40,13 +40,6 @@ def test_drift_calibration_matches_mc_mean(merton_model):
     disc = np.exp(-0.05) * paths.paths[:, -1, 0]
     stderr = disc.std(ddof=1) / np.sqrt(disc.shape[0])
     assert abs(disc.mean() - 1.0) < 3 * stderr
-
-
-def test_martingale_gap_zero_for_calibrated(merton_model, kou_model):
-    # log_drift is the calibrated drift itself, so the martingale gap is 0 bit for bit
-    for model in (merton_model, kou_model):
-        want = lp.calibrate_drift(model.gaussian, model.jumps, model.rates)
-        assert model.log_drift.tobytes() == want.tobytes()
 
 
 class TestValidateIntegrability:
@@ -119,19 +112,19 @@ class TestValidateIntegrability:
 class TestExpMoment:
     def test_martingale_unit(self, bs_model):
         # r = delta = 0 model: q = 1 moment is exactly 1
-        m = lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
-                               lp.Rates(r=0.0, delta=[0.0]))
+        m = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
+                         lp.Rates(r=0.0, delta=[0.0]))
         assert lp.exp_moment(m, 1.0, 0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_gaussian_second_moment(self):
-        m = lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
-                               lp.Rates(r=0.0, delta=[0.0]))
+        m = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
+                         lp.Rates(r=0.0, delta=[0.0]))
         assert lp.exp_moment(m, 2.0, 0, 1.0) == pytest.approx(np.exp(0.04), rel=1e-14)
 
     def test_merton_calibrated_unit(self):
         jumps = lp.JumpSpec(0.1, lp.MertonNormal(mean=[-0.1], cov=[[0.0225]]))
-        m = lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), jumps,
-                               lp.Rates(r=0.0, delta=[0.0]))
+        m = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
+                         lp.Rates(r=0.0, delta=[0.0]))
         assert lp.exp_moment(m, 1.0, 0, 2.0) == pytest.approx(1.0, abs=1e-12)
         paths = lp.simulate_paths(m, 0.0, [1.0], 2.0, 1, 1_000_000, seed=77)
         samples = paths.paths[:, -1, 0]
@@ -350,9 +343,9 @@ def test_model_dim_must_be_a_whole_number(dim):
 
 def test_merton_cholesky_factored_once_per_law():
     law = lp.MertonNormal(mean=[-0.05, -0.05], cov=[[0.01, 0.004], [0.004, 0.01]])
-    spec = lp.model_to_dict(lp.LevyModel.build(lp.GaussianPart(a=[[0.04, 0.0], [0.0, 0.04]]),
-                                               lp.JumpSpec(0.1, law),
-                                               lp.Rates(r=0.05, delta=[0.0, 0.0])))
+    spec = lp.model_to_dict(lp.LevyModel(lp.GaussianPart(a=[[0.04, 0.0], [0.0, 0.04]]),
+                                         lp.JumpSpec(0.1, law),
+                                         lp.Rates(r=0.05, delta=[0.0, 0.0])))
     assert law.chol is law.chol
     assert np.array_equal(law.chol, np.linalg.cholesky(law.cov + 1e-300 * np.eye(2)))
     # the cached factor is not a field: JSON, equality and hashing ignore it

@@ -10,7 +10,8 @@ import levypricer as lp
 from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
 from oracles import (apply_jump_operator, bs_put, crr_american_put, merton_put_series,
-                     ndimage_exercise_band, scipy_fft_convolve_valid, sparse_operator_1d)
+                     ndimage_exercise_band, scipy_fft_convolve_valid, sparse_operator_1d,
+                     stulz_two_asset)
 
 SPOT = 100.0
 
@@ -45,6 +46,19 @@ class TestBuildGrid:
             lp.build_grid(bs_model, put_1d, [SPOT], 1.0, 100, 20, beta=2.0)  # even
         with pytest.raises(ValueError):
             lp.build_grid(bs_model, put_1d, [SPOT], 1.0, 101, 5, beta=2.0)
+
+    @pytest.mark.parametrize("spot, T, error, words", [
+        ([-5.0], 1.0, lp.InvalidDomain, "spot"), ([np.nan], 1.0, lp.InvalidDomain, "spot"),
+        ([np.inf], 1.0, lp.InvalidDomain, "spot"), ([SPOT], 0.0, ValueError, "maturity"),
+        ([SPOT], -1.0, ValueError, "maturity"), ([SPOT], np.nan, ValueError, "maturity"),
+        ([SPOT], np.inf, ValueError, "maturity")])
+    def test_spot_and_maturity_rule(self, bs_model, put_1d, spot, T, error, words):
+        # the rule `simulate_log_blocks` applies to T - s: T = 0 once divided
+        # by zero here, and the others built a grid of NaN prices
+        with pytest.raises(error, match=words):
+            lp.build_grid(bs_model, put_1d, spot, T, 101, 20, beta=2.0)
+        with pytest.raises(error, match=words):
+            lp.simulate_paths(bs_model, 0.0, spot, T, 10, 100, seed=0)
 
 
 class TestAssemble:
@@ -97,10 +111,17 @@ class TestAssemble:
             assert op.stencil.sum() == pytest.approx(model.jumps.intensity, rel=1e-12)
             assert op.raw_mass_defect < 1e-3 * model.jumps.intensity
 
+    def test_subnormal_intensity_is_refused(self, put_1d):
+        # lambda x cell masses underflows to zero: a typed refusal, not a solve
+        model = _drift_model(0.125, 0.0, 5e-324)
+        grid = lp.build_grid(model, put_1d, [SPOT], 1.0, 201, 10, beta=4.0, trunc_tol=1e-5)
+        with pytest.raises(lp.QuadratureTailTooHeavy, match="no mass"):
+            lp.assemble(model, grid)
+
     def test_explicit_jump_cfl_guard(self, put_1d):
         jumps = lp.JumpSpec(30.0, lp.MertonNormal(mean=[0.0], cov=[[0.01]]))
-        model = lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), jumps,
-                                   lp.Rates(r=0.0, delta=[0.0]))
+        model = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
+                             lp.Rates(r=0.0, delta=[0.0]))
         grid = lp.build_grid(model, put_1d, [SPOT], 1.0, 101, 20, beta=2.0)
         with pytest.raises(lp.SchemeNotMonotone, match=r"n_time >= 31\b"):
             lp.assemble(model, grid)
@@ -427,8 +448,8 @@ class TestJumpOperator:
         # compensated integral vanishes on u(x) = x; at tau = 0 the far-field
         # extension of the identity payoff is exact
         jumps = lp.JumpSpec(0.1, lp.MertonNormal(mean=[-0.1], cov=[[0.0225]]))
-        model = lp.LevyModel.build(lp.GaussianPart(a=[[0.04]]), jumps,
-                                   lp.Rates(r=0.0, delta=[0.0]))
+        model = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
+                             lp.Rates(r=0.0, delta=[0.0]))
         ident = lp.Payoff.index_call(0.0, [1.0], 1)  # psi(x) = x
         grid = lp.build_grid(model, ident, [SPOT], 1.0, 401, 50, beta=2.0,
                              trunc_tol=1e-5)
@@ -446,7 +467,7 @@ class TestJumpOperator:
         rel = np.abs(field[sl]) / prices[sl]
         assert rel.max() < 5e-4  # quadrature + central-difference tolerance
 
-    def test_matches_fine_quadrature(self, merton_solves, merton_model, put_1d):
+    def test_matches_fine_quadrature(self, merton_solves, merton_model, merton_cfg, put_1d):
         grid, op, amer, _ = merton_solves
         level = 0
         field = amer.jump_field[level]
@@ -458,7 +479,8 @@ class TestJumpOperator:
         # direct quadrature with 10x nodes; linear interpolation of u, far
         # field from the same discounted-forward closure the solver uses
         dy = grid.dz[0] / 10.0
-        yy = np.arange(-op.y_max, op.y_max + dy / 2, dy)
+        radius = merton_model.jumps.radius(merton_cfg.y_max_tail, 1)
+        yy = np.arange(-radius, radius + dy / 2, dy)
         wts = law.density(yy.reshape(-1, 1)) * dy * lam
         wts *= lam / wts.sum()
         kappa = merton_model.jumps.mean_exp_minus_one(1)[0]
@@ -564,8 +586,8 @@ class TestTwoDimensional:
 
     def test_mixed_term_monotonicity_guard(self, min_put_2d):
         a = [[0.01, 0.02], [0.02, 0.09]]  # positive definite, |a12| > min(a11, a22)
-        model = lp.LevyModel.build(lp.GaussianPart(a=a), lp.JumpSpec(0.0),
-                                   lp.Rates(r=0.0, delta=[0.0, 0.0]))
+        model = lp.LevyModel(lp.GaussianPart(a=a), lp.JumpSpec(0.0),
+                             lp.Rates(r=0.0, delta=[0.0, 0.0]))
         grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 1.0, 101, 20, beta=2.0)
         with pytest.raises(lp.SchemeNotMonotone, match="correlation"):
             lp.assemble(model, grid)
@@ -578,8 +600,8 @@ class TestTwoDimensional:
                              trunc_tol=1e-5)
         a = merton2d_model.gaussian.a
         a12 = 0.999 * min(a[0, 0] * grid.dz[1] / grid.dz[0], a[1, 1] * grid.dz[0] / grid.dz[1])
-        model = lp.LevyModel.build(lp.GaussianPart(a=[[a[0, 0], a12], [a12, a[1, 1]]]),
-                                   merton2d_model.jumps, merton2d_model.rates)
+        model = lp.LevyModel(lp.GaussianPart(a=[[a[0, 0], a12], [a12, a[1, 1]]]),
+                             merton2d_model.jumps, merton2d_model.rates)
         matrix = lp.assemble(model, grid).step_matrix
         margin = 2 * matrix.diagonal() - abs(matrix).sum(axis=1).A1  # diagonal minus the rest
         assert margin.min() < -1.0
@@ -608,6 +630,35 @@ class TestTwoDimensional:
             scipy_ref = scipy_fft_convolve_valid(ext, op.stencil[::-1, ::-1])
             assert np.abs(out - scipy_ref).max() <= 1e-14 * np.abs(scipy_ref).max()
         assert len(calls) == 3 + 1 + 6  # three fields, the stencil once; the reference six
+
+    def test_correlated_jump_stencil(self, merton2d_model, min_put_2d):
+        # off-diagonal jump covariance: cell masses are density x cell area
+        law = lp.MertonNormal(mean=[-0.05, -0.05], cov=[[0.01, 0.004], [0.004, 0.01]])
+        model = lp.LevyModel(merton2d_model.gaussian, lp.JumpSpec(0.1, law), merton2d_model.rates)
+        cfg = SolverConfig(n_space=51, n_time=10, beta=5.0, trunc_tol=1e-5)
+        _, op, amer, eur = lp.solve_pair(model, min_put_2d, [SPOT, SPOT], 0.5, cfg)
+        assert op.stencil.sum() == pytest.approx(0.1, rel=1e-14)
+        assert op.raw_mass_defect < 1e-3 * 0.1  # 4.5e-7 measured
+        assert amer.value_at_spot() >= eur.value_at_spot() >= 0  # 6.8615 >= 6.7150
+
+    @pytest.mark.parametrize("payoff, errors", [
+        (lp.Payoff.min_put(100.0, 2), (-0.5795, -0.1901, -0.0944)),
+        (lp.Payoff.max_call(100.0, 2), (-0.5202, -0.1707, -0.0856))], ids=["min_put", "max_call"])
+    def test_european_approaches_stulz_from_below(self, merton2d_model, payoff, errors):
+        # merton2d's Gaussian part and rates without jumps has the closed form
+        # of Stulz (1982): min-put 7.54179, max-call 10.25869
+        model = lp.LevyModel(merton2d_model.gaussian, lp.JumpSpec(0.0), merton2d_model.rates)
+        exact = dict(zip(("max_call", "min_put"), stulz_two_asset(
+            [SPOT, SPOT], 100.0, 0.5, 0.05, [0.02, 0.01], model.gaussian.a)))[payoff.kind]
+        got = []
+        for n_space, n_time in ((61, 20), (101, 50), (151, 50)):
+            grid = lp.build_grid(model, payoff, [SPOT, SPOT], 0.5, n_space, n_time, beta=5.0,
+                                 trunc_tol=1e-5)
+            got.append(lp.solve_european(model, payoff, grid, lp.assemble(model, grid))
+                       .value_at_spot() - exact)
+        # below the exact value, each error within 1e-3 of the one measured
+        assert got == pytest.approx(errors, abs=1e-3)
+        assert 0 > got[2] > got[1] > got[0]
 
     def test_fast_length_is_scipys(self):
         from scipy.fft import next_fast_len
@@ -640,7 +691,7 @@ def _drift_model(a: float, carry: float, lam: float = 0.0):
     jumps of intensity `lam`."""
     jumps = lp.JumpSpec(lam, lp.KouDoubleExponential(p_up=[0.4], eta_plus=[10.0], eta_minus=[5.0])) \
         if lam else lp.JumpSpec(0.0)
-    return lp.LevyModel.build(lp.GaussianPart(a=[[a]]), jumps, lp.Rates(r=0.3, delta=[0.3 - carry]))
+    return lp.LevyModel(lp.GaussianPart(a=[[a]]), jumps, lp.Rates(r=0.3, delta=[0.3 - carry]))
 
 
 class TestTridiagonal:
@@ -665,7 +716,8 @@ class TestTridiagonal:
         assert np.all(np.abs(op.local @ x - refs[0] @ x) <= 1e-15 * (abs(refs[0]) @ abs(x)))
 
     @settings(max_examples=60, deadline=None, database=None)
-    @given(a=st.floats(1e-4, 0.2), carry=st.floats(-0.3, 0.3), lam=st.floats(0.0, 5.0),
+    @given(a=st.floats(1e-4, 0.2), carry=st.floats(-0.3, 0.3),
+           lam=st.just(0.0) | st.floats(1e-6, 5.0),
            n_time=st.integers(10, 400), n_space=st.sampled_from([51, 201, 401]),
            n_pen=st.sampled_from([1e2, 1e3, 1e4]), share=st.floats(0.0, 1.0),
            seed=st.integers(0, 2 ** 32 - 1))

@@ -47,9 +47,10 @@ class TestPremiumIdentity:
     def test_model_rejected_when_weights_break(self, kou_model, put_1d):
         # 2 beta = 6 exceeds eta_minus = 5: weighted second moment diverges
         cfg = SolverConfig(n_space=101, n_time=20, beta=3.0)
+        _, _, amer, eur = lp.solve_pair(kou_model, put_1d, [SPOT], 1.0, cfg)
         with pytest.raises(lp.ModelRejected):
             premium_identity(kou_model, put_1d, [SPOT], 1.0, cfg,
-                             MCConfig(n_paths=1000, n_steps=20, seed=0))
+                             MCConfig(n_paths=1000, n_steps=20, seed=0), solutions=(amer, eur))
 
     @pytest.mark.parametrize("spot, payoff", [(95.0, lp.Payoff.min_put(100.0, 1)),
                                               (SPOT, lp.Payoff.min_put(102.0, 1))])
@@ -115,6 +116,7 @@ def test_identity_gap_shrinks_in_trend(bs_model, put_1d):
                            (801, 200, 400_000)):
         cfg = SolverConfig(n_space=ns, n_time=nt, beta=5.0, trunc_tol=1e-5)
         mc = MCConfig(n_paths=npaths, n_steps=nt, seed=81)
-        rep = premium_identity(bs_model, put_1d, [SPOT], 1.0, cfg, mc)
+        _, _, amer, eur = lp.solve_pair(bs_model, put_1d, [SPOT], 1.0, cfg)
+        rep = premium_identity(bs_model, put_1d, [SPOT], 1.0, cfg, mc, solutions=(amer, eur))
         gaps.append(rep.identity_gap)
     assert gaps[-1] <= gaps[0]
