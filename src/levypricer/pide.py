@@ -56,19 +56,19 @@ class SolverConfig:
     y_max_tail: float = 1e-10
     exercise_tol: float = 1e-6
 
-    @classmethod
-    def from_dict(cls, spec: dict) -> "SolverConfig":
-        known = config_fields(cls, spec)
-        if "penalty_ladder" in known:
-            ladder = known["penalty_ladder"]
-            if not isinstance(ladder, (list, tuple)):
-                raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
-            known["penalty_ladder"] = tuple(_real(v, "penalty_ladder entry", 0.0) for v in ladder)
+    def __post_init__(self):
+        ladder = self.penalty_ladder
+        if not isinstance(ladder, (list, tuple)):
+            raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
+        object.__setattr__(self, "penalty_ladder",
+                           tuple(_real(v, "penalty_ladder entry", 0.0) for v in ladder))
         for key, lower, upper in (("beta", -np.inf, np.inf), ("trunc_tol", 0.0, 1.0),
                                   ("y_max_tail", 0.0, 1.0), ("exercise_tol", 0.0, np.inf)):
-            if key in known:
-                known[key] = _real(known[key], key, lower, upper)
-        return cls(**known)
+            object.__setattr__(self, key, _real(getattr(self, key), key, lower, upper))
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "SolverConfig":
+        return cls(**config_fields(cls, spec))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "penalty_ladder": list(self.penalty_ladder)}

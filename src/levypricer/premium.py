@@ -113,6 +113,8 @@ def boundary_curve(solution: Solution, payoff: Payoff) -> np.ndarray:
     """Rows (t, boundary_price) per time level: the largest exercised price for
     puts, the smallest for calls; NaN where the region is empty."""
     grid = solution.grid
+    if grid.dim != 1:
+        raise ValueError(f"boundary_curve needs a 1D solution, got dim {grid.dim}")
     prices = np.exp(grid.axes[0])
     reduce, empty = (np.max, -np.inf) if payoff.is_put else (np.min, np.inf)
     bound = reduce(np.where(solution.exercise_set, prices, empty), axis=1)

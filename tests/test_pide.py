@@ -111,13 +111,6 @@ class TestAssemble:
             assert op.stencil.sum() == pytest.approx(model.jumps.intensity, rel=1e-12)
             assert op.raw_mass_defect < 1e-3 * model.jumps.intensity
 
-    def test_subnormal_intensity_is_refused(self, put_1d):
-        # lambda x cell masses underflows to zero: a typed refusal, not a solve
-        model = _drift_model(0.125, 0.0, 5e-324)
-        grid = lp.build_grid(model, put_1d, [SPOT], 1.0, 201, 10, beta=4.0, trunc_tol=1e-5)
-        with pytest.raises(lp.QuadratureTailTooHeavy, match="no mass"):
-            lp.assemble(model, grid)
-
     def test_explicit_jump_cfl_guard(self, put_1d):
         jumps = lp.JumpSpec(30.0, lp.MertonNormal(mean=[0.0], cov=[[0.01]]))
         model = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
@@ -717,7 +710,7 @@ class TestTridiagonal:
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(a=st.floats(1e-4, 0.2), carry=st.floats(-0.3, 0.3),
-           lam=st.just(0.0) | st.floats(1e-6, 5.0),
+           lam=st.floats(0.0, 5.0, allow_subnormal=False),
            n_time=st.integers(10, 400), n_space=st.sampled_from([51, 201, 401]),
            n_pen=st.sampled_from([1e2, 1e3, 1e4]), share=st.floats(0.0, 1.0),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -758,6 +751,16 @@ def test_solver_config_roundtrip():
                        y_max_tail=1e-9, exercise_tol=1e-7)
     again = SolverConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta", float("nan")), ("trunc_tol", 0.0), ("y_max_tail", 1.0), ("exercise_tol", -1.0),
+    ("penalty_ladder", (1e2, 0.0)), ("penalty_ladder", 1e2)])
+def test_solver_config_built_in_python_checks_ranges(key, value):
+    # SolverConfig(beta=nan) once solved to NaN prices and trunc_tol=0 ended
+    # in a ZeroDivisionError in build_grid
+    with pytest.raises(ValueError, match=key):
+        SolverConfig(**{key: value})
 
 
 def test_solver_config_rejects_unknown_keys():

@@ -92,6 +92,12 @@ class TestExerciseRegion:
             if mask.any():
                 assert np.all(amer.obstacle[mask] > 0)
 
+    def test_boundary_curve_needs_1d(self, minput2d_solves, min_put_2d):
+        # a 2D exercise set once broadcast to an (n_time + 1, n + 1) array
+        _, _, amer, _ = minput2d_solves
+        with pytest.raises(ValueError, match="1D solution"):
+            boundary_curve(amer, min_put_2d)
+
     def test_boundary_curve_monotone(self, bs_solves, put_1d):
         _, _, amer, _ = bs_solves
         rows = boundary_curve(amer, put_1d)
