@@ -427,7 +427,9 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
     total = float(raw.sum())
     defect = abs(total - lam)
     if total <= 0:
-        raise QuadratureTailTooHeavy("jump stencil carries no mass")
+        raise QuadratureTailTooHeavy(
+            f"jump stencil carries no mass: intensity {lam!r} times the jump law's cell masses "
+            f"sums to {total!r}; use lambda = 0 for a model without jumps")
     stencil = raw * (lam / total)  # row-sum correction: constants must map to zero
     return stencil, m, defect
 
@@ -483,23 +485,31 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_ma
 # Far-field boundary values
 # --------------------------------------------------------------------------- #
 
-def far_field_values(payoff: Payoff, model: LevyModel, prices: np.ndarray, tau: float,
+def far_field_values(payoff: Payoff, model: LevyModel, prices: np.ndarray, tau,
                      floor: np.ndarray | None = None) -> np.ndarray:
     """Discounted payoff of the forward prices; exact where psi is locally affine.
 
-    American values are floored at `floor`, the obstacle at `prices` (see
-    `_floors`), so deep-in-the-money boundaries carry the immediate-exercise
+    `tau` is one time to go or an array of them; the values have shape
+    `tau.shape + prices.shape[:-1]`, each the elementwise arithmetic of its
+    own scalar call.  American values are floored at `floor`, the obstacle at
+    `prices`, so deep-in-the-money boundaries carry the immediate-exercise
     value; European values (floor None) are not.
     """
+    tau = np.reshape(tau, np.shape(tau) + (1,) * np.ndim(prices))
     fwd = prices * np.exp((model.rates.r - model.rates.delta) * tau)
-    vals = np.exp(-model.rates.r * tau) * payoff.evaluate(fwd)
+    vals = np.exp(-model.rates.r * tau)[..., 0] * payoff.evaluate(fwd)
     return vals if floor is None else np.maximum(vals, floor)
 
 
-def _floors(operator: DiscreteOperator, payoff: Payoff) -> tuple:
-    """The obstacle at the operator's boundary and ring prices: the American
-    far-field floors of every step, evaluated once per solve."""
-    return payoff.evaluate(operator.boundary_prices), payoff.evaluate(operator.ring_prices)
+def _far_field_tables(operator: DiscreteOperator, payoff: Payoff, american: bool) -> tuple:
+    """(boundary, ring): the far-field values at the operator's boundary and
+    ring prices for every level's time to go, shapes (n_time + 1, n_boundary)
+    and (n_time + 1, n_ring), American ones floored at the obstacle there.
+    One solve builds them once and shares them with every sweep."""
+    tau = operator.grid.T - operator.grid.times
+    return tuple(far_field_values(payoff, operator.model, prices, tau,
+                                  payoff.evaluate(prices) if american else None)
+                 for prices in (operator.boundary_prices, operator.ring_prices))
 
 
 # --------------------------------------------------------------------------- #
@@ -577,11 +587,11 @@ def _update_budget(grid: Grid) -> int:
     return grid.n_space * (grid.dim - 1)
 
 
-def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
-           n_pen: float | None = None, floors: tuple = (None, None)):
+def _sweep(operator: DiscreteOperator, psi: np.ndarray, far_field: tuple,
+           n_pen: float | None = None):
     """One backward IMEX sweep: (values, source, convolutions, Newton solves,
-    factorizations, update columns).  An American sweep takes the far-field
-    `floors` of `_floors`.
+    factorizations, update columns).  `far_field` holds the solve's boundary
+    and ring values per level, from `_far_field_tables`.
 
     Each step solves the implicit system against the explicit jump
     convolution K * u of the level above, which is kept per level.  With
@@ -598,7 +608,7 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
     """
     grid = operator.grid
     dt = grid.dt
-    tau = grid.T - grid.times
+    boundary, ring = far_field
     american = n_pen is not None
     values = np.empty((grid.n_time + 1, *grid.shape))
     conv = np.zeros_like(values)
@@ -617,10 +627,9 @@ def _sweep(operator: DiscreteOperator, payoff: Payoff, psi: np.ndarray,
     for k in range(grid.n_time - 1, -1, -1):
         rhs = values[k + 1].ravel() / dt
         if operator.lam > 0:
-            conv[k + 1] = _jump_convolution(operator, payoff, values[k + 1], tau[k + 1], floors[1])
+            conv[k + 1] = operator.convolve(operator.extend(values[k + 1], ring[k + 1]))
             rhs = rhs + conv[k + 1].ravel()
-        rhs[operator.boundary_mask] = far_field_values(
-            payoff, operator.model, operator.boundary_prices, tau[k], floors[0]) / disc
+        rhs[operator.boundary_mask] = boundary[k] / disc
         for _ in range(_NEWTON_CAP):
             try:
                 changed = None
@@ -671,10 +680,11 @@ def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
                    operator: DiscreteOperator) -> Solution:
     """Backward IMEX sweep for the Cauchy problem (no obstacle)."""
     psi = payoff.evaluate(np.exp(grid.mesh()))
-    values, _, conv, *_ = _sweep(operator, payoff, psi)
+    far_field = _far_field_tables(operator, payoff, american=False)
+    values, _, conv, *_ = _sweep(operator, psi, far_field)
     return Solution(grid=grid, kind="european", payoff=payoff, values=values,
                     obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
-                    jump_field=_jump_field(operator, payoff, values, conv),
+                    jump_field=_jump_field(operator, values, conv, far_field[1]),
                     metadata={"stencil_mass_defect": operator.raw_mass_defect})
 
 
@@ -696,11 +706,11 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"penalty_ladder must be nonempty and strictly increasing, got {list(ladder)}")
     psi = payoff.evaluate(np.exp(grid.mesh()))
-    floors = _floors(operator, payoff)
+    far_field = _far_field_tables(operator, payoff, american=True)
     prev = None
     changes, solves, factorizations, columns = [], [], [], []
     for n_pen in ladder:
-        values, source, conv, *counts = _sweep(operator, payoff, psi, n_pen, floors)
+        values, source, conv, *counts = _sweep(operator, psi, far_field, n_pen)
         for total, count in zip((solves, factorizations, columns), counts):
             total.append(count)
         if prev is not None:
@@ -726,7 +736,7 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
             "stencil_mass_defect": operator.raw_mass_defect}
     return Solution(grid=grid, kind="american", payoff=payoff, values=prev,
                     obstacle=psi, exercise_set=exercise,
-                    jump_field=_jump_field(operator, payoff, prev, conv, floors[1]),
+                    jump_field=_jump_field(operator, prev, conv, far_field[1]),
                     penalty_source=source,
                     exercise_tol=exercise_tol, metadata=meta)
 
@@ -746,14 +756,6 @@ def solve_pair(model: LevyModel, payoff: Payoff, spot, T: float, cfg: SolverConf
 # Jump operator field and residual
 # --------------------------------------------------------------------------- #
 
-def _jump_convolution(operator: DiscreteOperator, payoff: Payoff, core: np.ndarray,
-                      tau: float, floor: np.ndarray | None) -> np.ndarray:
-    """K * u on the core lattice, with the far-field values of time-to-go tau
-    beyond it (floored at `floor` for an American field)."""
-    ring = far_field_values(payoff, operator.model, operator.ring_prices, tau, floor)
-    return operator.convolve(operator.extend(core, ring))
-
-
 def _compensate(operator: DiscreteOperator, conv: np.ndarray, core: np.ndarray,
                 sign: float = -1.0) -> np.ndarray:
     """L_I u = (K * u) - lambda u - sum_i lambda kappa_i d_i u, in log coordinates.
@@ -767,16 +769,15 @@ def _compensate(operator: DiscreteOperator, conv: np.ndarray, core: np.ndarray,
     return out
 
 
-def _jump_field(operator: DiscreteOperator, payoff: Payoff, values: np.ndarray,
-                conv: np.ndarray, ring_floor: np.ndarray | None = None) -> np.ndarray:
+def _jump_field(operator: DiscreteOperator, values: np.ndarray, conv: np.ndarray,
+                ring: np.ndarray) -> np.ndarray:
     """L_I u per level, in place of `conv` (zero when lambda = 0).
 
     Levels 1..n_time reuse the convolutions the sweep made; level 0 is the
-    only one it did not convolve.  An American field takes the ring floor of
-    `_floors`.
+    only one it did not convolve, against row 0 of the solve's ring table.
     """
     if operator.lam > 0:
-        conv[0] = _jump_convolution(operator, payoff, values[0], operator.grid.T, ring_floor)
+        conv[0] = operator.convolve(operator.extend(values[0], ring[0]))
         for k in range(values.shape[0]):
             conv[k] = _compensate(operator, conv[k], values[k])
     return conv

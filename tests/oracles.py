@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import norm
 
 from levypricer.model import Empirical, MertonNormal
-from levypricer.pide import _compensate, _jump_convolution
+from levypricer.pide import _compensate, far_field_values
 
 
 def bs_put(S, K, T, r, sigma, q=0.0):
@@ -169,14 +169,17 @@ def apply_jump_operator(solution, operator, k):
     """L_I u at time level k: the compensated jump integral of the stored
     field, (K * u)(z) - lambda u(z) - sum_i lambda kappa_i d_i u(z) in log
     coordinates, with values beyond the grid from the far-field extension.
-    Convolves the level afresh, as a reference for the stored jump field."""
+    Convolves the level afresh, its ring values from one scalar
+    `far_field_values` call, as a reference for the stored jump field and the
+    solver's per-solve far-field tables."""
     grid = solution.grid
     if operator.lam == 0:
         return np.zeros(grid.shape)
-    core = solution.values[k]
-    floor = solution.payoff.evaluate(operator.ring_prices) if solution.kind == "american" else None
-    conv = _jump_convolution(operator, solution.payoff, core, grid.T - grid.times[k], floor)
-    return _compensate(operator, conv, core)
+    core, payoff = solution.values[k], solution.payoff
+    floor = payoff.evaluate(operator.ring_prices) if solution.kind == "american" else None
+    ring = far_field_values(payoff, operator.model, operator.ring_prices,
+                            grid.T - grid.times[k], floor)
+    return _compensate(operator, operator.convolve(operator.extend(core, ring)), core)
 
 
 def scipy_fft_convolve_valid(a, kernel):
@@ -193,3 +196,32 @@ def ndimage_exercise_band(exercise, layers):
     times, by `scipy.ndimage` with its default cross structure."""
     from scipy.ndimage import binary_dilation, binary_erosion
     return binary_dilation(exercise ^ binary_erosion(exercise), iterations=layers)
+
+
+def beg_two_asset(payoff, S, T, r, q, a, steps, american=True):
+    """Value at (S1, S2) of `payoff(s1, s2)` on two lognormal assets of
+    dividend yields q and log-return covariance a, by the Boyle-Evnine-Gibbs
+    lattice (Boyle, Evnine & Gibbs 1989) of `steps` steps: each asset moves
+    by e^{+-sigma_i sqrt(dt)}, the four joint moves matching the means,
+    variances and correlation of the log returns to first order in dt.
+    American values take the payoff where it is larger at every node."""
+    dt = T / steps
+    sig = np.sqrt([a[0][0], a[1][1]])
+    rho = a[0][1] / (sig[0] * sig[1])
+    drift = np.sqrt(dt) * (r - np.asarray(q) - 0.5 * sig ** 2) / sig
+    p = {(i, j): 0.25 * (1.0 + i * j * rho + i * drift[0] + j * drift[1])
+         for i in (1, -1) for j in (1, -1)}
+    disc = np.exp(-r * dt)
+
+    def prices(n):
+        ups = 2 * np.arange(n + 1) - n
+        return np.meshgrid(S[0] * np.exp(sig[0] * np.sqrt(dt) * ups),
+                           S[1] * np.exp(sig[1] * np.sqrt(dt) * ups), indexing="ij")
+
+    vals = payoff(*prices(steps))
+    for n in range(steps - 1, -1, -1):
+        vals = disc * (p[1, 1] * vals[1:, 1:] + p[1, -1] * vals[1:, :-1]
+                       + p[-1, 1] * vals[:-1, 1:] + p[-1, -1] * vals[:-1, :-1])
+        if american:
+            vals = np.maximum(vals, payoff(*prices(n)))
+    return float(vals[0, 0])

@@ -9,9 +9,10 @@ from scipy.ndimage import binary_erosion
 import levypricer as lp
 from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
-from oracles import (apply_jump_operator, bs_put, crr_american_put, merton_put_series,
-                     ndimage_exercise_band, scipy_fft_convolve_valid, sparse_operator_1d,
-                     stulz_two_asset)
+from oracles import (apply_jump_operator, beg_two_asset, bs_put, crr_american_put,
+                     merton_put_series, ndimage_exercise_band, scipy_fft_convolve_valid,
+                     sparse_operator_1d, stulz_two_asset)
+from test_payoff_properties import catalog
 
 SPOT = 100.0
 
@@ -110,6 +111,13 @@ class TestAssemble:
             assert np.all(op.stencil >= 0.0)
             assert op.stencil.sum() == pytest.approx(model.jumps.intensity, rel=1e-12)
             assert op.raw_mass_defect < 1e-3 * model.jumps.intensity
+
+    def test_underflowing_intensity_is_named(self, put_1d):
+        # 5e-324 times the Kou cell masses underflows to a stencil of zeros
+        model = _drift_model(0.125, 0.0, 5e-324)
+        grid = lp.build_grid(model, put_1d, [SPOT], 1.0, 201, 20, beta=4.0, trunc_tol=1e-5)
+        with pytest.raises(lp.QuadratureTailTooHeavy, match=r"intensity 5e-324 .*use lambda = 0"):
+            lp.assemble(model, grid)
 
     def test_explicit_jump_cfl_guard(self, put_1d):
         jumps = lp.JumpSpec(30.0, lp.MertonNormal(mean=[0.0], cov=[[0.01]]))
@@ -232,6 +240,24 @@ class TestSolveAmerican:
         assert calls == {"splu": 0, "convolve": grid.n_time + 1}
         assert np.array_equal(again.values, eur.values)
 
+    def test_far_field_is_evaluated_once_per_solve(self, merton_model, put_1d, monkeypatch):
+        # one table call each for the boundary and the ring, whatever the
+        # number of levels or rungs
+        calls, far_field = [], pide.far_field_values
+        monkeypatch.setattr(pide, "far_field_values",
+                            lambda *a, **kw: calls.append(1) or far_field(*a, **kw))
+        counts = []
+        for n_time, ladder in ((20, (1e4,)), (20, (1e2, 1e3, 1e4)), (50, (1e2, 1e3, 1e4))):
+            grid = lp.build_grid(merton_model, put_1d, [SPOT], 1.0, 201, n_time, beta=4.0,
+                                 trunc_tol=1e-5)
+            op = lp.assemble(merton_model, grid)
+            for solve in (lambda: lp.solve_american_penalty(merton_model, put_1d, grid, op, ladder),
+                          lambda: lp.solve_european(merton_model, put_1d, grid, op)):
+                calls.clear()
+                solve()
+                counts.append(len(calls))
+        assert counts == [2] * 6
+
     def test_one_dimensional_solves_take_no_updates(self, bs_solves, merton_solves,
                                                     kou_solves):
         for _, _, amer, _ in (bs_solves, merton_solves, kou_solves):
@@ -333,6 +359,31 @@ class TestSolveAmerican:
                 worst = max(worst, float((amer.penalty_source[k][core]
                                           - psim[core] * 1.001).max()))
         assert worst <= 0.0
+
+
+class TestFarFieldTables:
+    @pytest.mark.parametrize("payoff", catalog(1) + catalog(2),
+                             ids=lambda p: f"{p.kind}-{p.dim}d")
+    def test_rows_are_the_per_level_values(self, payoff, merton_model, merton2d_model):
+        # each row bitwise equals the scalar call at its level and the
+        # discounted forward payoff spelled out, floored for the American
+        model = merton_model if payoff.dim == 1 else merton2d_model
+        grid = lp.build_grid(model, payoff, [SPOT] * payoff.dim, 0.5, 51, 10, beta=5.0,
+                             trunc_tol=1e-5)
+        op = lp.assemble(model, grid)
+        r, carry = model.rates.r, model.rates.r - model.rates.delta
+        tau = grid.T - grid.times
+        for american in (False, True):
+            tables = pide._far_field_tables(op, payoff, american)
+            for prices, table in zip((op.boundary_prices, op.ring_prices), tables):
+                assert table.shape == (grid.n_time + 1, len(prices)) and len(prices)
+                floor = payoff.evaluate(prices) if american else None
+                for k, t in enumerate(tau):
+                    spelled = np.exp(-r * t) * payoff.evaluate(prices * np.exp(carry * t))
+                    spelled = spelled if floor is None else np.maximum(spelled, floor)
+                    assert table[k].tobytes() == spelled.tobytes(), (american, k)
+                    assert table[k].tobytes() == far_field_values(
+                        payoff, model, prices, t, floor).tobytes(), (american, k)
 
 
 class TestResidual:
@@ -653,6 +704,36 @@ class TestTwoDimensional:
         assert got == pytest.approx(errors, abs=1e-3)
         assert 0 > got[2] > got[1] > got[0]
 
+    def test_lattice_european_approaches_stulz(self, merton2d_model):
+        # the Boyle-Evnine-Gibbs lattice's European min-put errors at N = 100,
+        # 200 and 400 against the closed form 7.54179, each within 2e-5 of the
+        # one measured: below it and halving with each doubling of N
+        a, rates = merton2d_model.gaussian.a, merton2d_model.rates
+        exact = stulz_two_asset([SPOT, SPOT], 100.0, 0.5, rates.r, rates.delta, a)[1]
+        errors = [beg_two_asset(_min_put_100, [SPOT, SPOT], 0.5, rates.r, rates.delta, a, n,
+                                american=False) - exact for n in (100, 200, 400)]
+        assert errors == pytest.approx([-0.02053, -0.01027, -0.00513], abs=2e-5)
+        assert errors[0] < errors[1] < errors[2] < 0
+
+    def test_american_stays_below_the_lattice(self, merton2d_model, min_put_2d):
+        # 2D Black-Scholes (merton2d without jumps): the lattice at N = 400
+        # gives 7.69709 (Richardson extrapolation in N: 7.7005); the PIDE
+        # American min-put at 61^2 x 20 and 101^2 x 50, 7.11454 and 7.50344,
+        # falls short of it by 0.5825 and 0.1936, each within 1e-3 of the one
+        # measured and shrinking
+        model = lp.LevyModel(merton2d_model.gaussian, lp.JumpSpec(0.0), merton2d_model.rates)
+        lattice = beg_two_asset(_min_put_100, [SPOT, SPOT], 0.5, model.rates.r,
+                                model.rates.delta, model.gaussian.a, 400)
+        assert lattice == pytest.approx(7.69709, abs=1e-5)
+        errors = []
+        for n_space, n_time in ((61, 20), (101, 50)):
+            grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 0.5, n_space, n_time,
+                                 beta=5.0, trunc_tol=1e-5)
+            amer = lp.solve_american_penalty(model, min_put_2d, grid, lp.assemble(model, grid))
+            errors.append(amer.value_at_spot() - lattice)
+        assert errors == pytest.approx([-0.5825, -0.1936], abs=1e-3)
+        assert 0 > errors[1] > errors[0]
+
     def test_fast_length_is_scipys(self):
         from scipy.fft import next_fast_len
         assert [pide._next_fast_len(n) for n in range(1, 5000)] == \
@@ -663,6 +744,10 @@ class TestTwoDimensional:
         i, j = 60, 80
         x = np.exp([grid.axes[0][i], grid.axes[1][j]])
         assert lp.interpolate(amer, 0.0, x) == pytest.approx(amer.values[0, i, j], rel=1e-12)
+
+
+def _min_put_100(s1, s2):
+    return np.maximum(100.0 - np.minimum(s1, s2), 0.0)
 
 
 def _uncached_fft_convolve_valid(a, kernel):
