@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -81,24 +83,18 @@ class RegressionBasis:
     def __post_init__(self):
         object.__setattr__(self, "degree", whole_number(self.degree, "degree", 0))
 
-    def exponents(self, dim: int) -> list:
-        exps = []
-        for deg in range(self.degree + 1):
-            for combo in combinations_with_replacement(range(dim), deg):
-                e = [0] * dim
-                for i in combo:
-                    e[i] += 1
-                exps.append(tuple(e))
-        return exps
+    def exponents(self, dim: int) -> tuple:
+        return _exponents(self.degree, dim)
 
     def design(self, z: np.ndarray, payoff_vals: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """Column-major, so each column is filled, and read by BLAS, in place."""
         exps = self.exponents(z.shape[1])
         zc = (z - center).T
         powers = np.empty((self.degree + 1, *zc.shape))  # powers[p, i] = zc_i^p, by products
         powers[0] = 1.0
         for p in range(1, self.degree + 1):
             np.multiply(powers[p - 1], zc, out=powers[p])
-        out = np.empty((z.shape[0], len(exps) + 1))
+        out = np.empty((z.shape[0], len(exps) + 1), order="F")
         for j, e in enumerate(exps):
             out[:, j] = powers[e[0], 0]
             for i in range(1, len(e)):
@@ -107,8 +103,19 @@ class RegressionBasis:
         return out
 
     def n_columns(self, dim: int, max_degree: int | None = None) -> int:
-        return 1 + sum(1 for e in self.exponents(dim)
-                       if max_degree is None or sum(e) <= max_degree)
+        # C(dim + d, d) monomials of total degree <= d, plus psi
+        return 1 + comb(dim + (self.degree if max_degree is None else max_degree), dim)
+
+
+@lru_cache(maxsize=16)
+def _exponents(degree: int, dim: int) -> tuple:
+    return tuple(tuple(combo.count(i) for i in range(dim)) for deg in range(degree + 1)
+                 for combo in combinations_with_replacement(range(dim), deg))
+
+
+def _columns(design: np.ndarray, cols: list) -> np.ndarray:
+    """The design itself at full degree, read in place; else a copy of `cols`."""
+    return design if len(cols) == design.shape[1] else design[:, cols]
 
 
 def _fit_continuation(basis: RegressionBasis, design: np.ndarray, dim: int,
@@ -122,7 +129,7 @@ def _fit_continuation(basis: RegressionBasis, design: np.ndarray, dim: int,
     the rank. Returns None when not even degree 0 fits (a single ITM path).
     A shrunk fit logs one warning, naming the degree it fell back to.
     """
-    n_itm, full = design.shape[0], basis.n_columns(dim)
+    n_itm, full = design.shape
     degree = next((d for d in range(basis.degree, -1, -1)
                    if n_itm >= basis.n_columns(dim, d)), None)
     if degree != basis.degree:
@@ -131,7 +138,7 @@ def _fit_continuation(basis: RegressionBasis, design: np.ndarray, dim: int,
     if degree is None:
         return None
     cols = [*range(basis.n_columns(dim, degree) - 1), -1]
-    return cols, np.linalg.lstsq(design[:, cols], target, rcond=None)[0]
+    return cols, np.linalg.lstsq(_columns(design, cols), target, rcond=None)[0]
 
 
 def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
@@ -162,7 +169,7 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
         for k in range(n_steps - 1, 0, -1):
             zk = np.concatenate([b[:, k] for b in blocks])
             pay = payoff.evaluate(np.exp(zk))
-            cash = cash * disc
+            cash *= disc
             itm = np.flatnonzero(pay > 0)
             if not itm.size or not (fit or k in coefs):
                 continue
@@ -174,7 +181,7 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
                     continue
                 coefs[k] = found
             cols, coef = coefs[k]
-            ex = pay_itm >= design[:, cols] @ coef
+            ex = pay_itm >= _columns(design, cols) @ coef
             cash[itm[ex]] = pay_itm[ex]
         return cash * disc
 

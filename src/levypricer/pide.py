@@ -416,6 +416,12 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
     dz = grid.dz
     if lam == 0:
         return np.zeros((1,) * grid.dim), (0,) * grid.dim, 0.0
+    if lam < np.finfo(float).tiny:
+        # refused on lambda alone: how far a subnormal lambda times the cell
+        # masses underflows would depend on the node count
+        raise QuadratureTailTooHeavy(
+            f"jump intensity {lam!r} is below the smallest normal float; "
+            f"use lambda = 0 for a model without jumps")
     radius = model.jumps.radius(y_max_tail, model.dim)
     m = tuple(int(np.ceil(radius / dz[i])) for i in range(grid.dim))
     cover = min(m[i] * dz[i] for i in range(grid.dim))

@@ -522,7 +522,7 @@ def test_design_matches_pow_reference_to_round_off(dim, degree):
     basis, center = RegressionBasis(degree=degree), np.full(dim, 4.6)
     design, ref = basis.design(z, pay, center), _pow_design(basis, z, pay, center)
     assert design.shape == ref.shape == (500, basis.n_columns(dim))
-    assert design.flags.c_contiguous
+    assert design.flags.f_contiguous    # the layout lstsq and the exercise product read
     assert np.array_equal(design[:, -1], pay)
     assert np.allclose(design, ref, rtol=1e-15, atol=0.0)
 
@@ -535,13 +535,17 @@ def test_design_matches_pow_reference_to_round_off(dim, degree):
     ("empirical1d", "put100_1d", 20_000, 50, 4, 1),
     ("merton2d", "minput100_2d", 20_000, 50, 76, 1),
     ("merton2d", "maxcall100_2d", 20_000, 20, 77, 1),
+    # the inputs of test_lsmc_shrink_warned_once_per_date: one date fits on
+    # the sliced degree-2 columns, two fit nothing
+    pytest.param("bs1d", lp.Payoff.min_put(70.0, 1), 200, 10, 49, 1, id="bs1d-otm70-shrinks"),
 ])
 def test_lsmc_estimate_matches_pow_design(model, payoff, n_paths, n_steps, seed, n_threads,
                                           monkeypatch):
     # products differ from pow in the last bit of some design entries; the
     # estimate moves only if an exercise decision flips, and none does here
     model = lp.load_model(CONFIGS / "models" / f"{model}.json")
-    payoff = lp.load_payoff(CONFIGS / "payoffs" / f"{payoff}.json")
+    if isinstance(payoff, str):
+        payoff = lp.load_payoff(CONFIGS / "payoffs" / f"{payoff}.json")
     spot = [SPOT] * model.dim
 
     def run():
@@ -552,3 +556,33 @@ def test_lsmc_estimate_matches_pow_design(model, payoff, n_paths, n_steps, seed,
     monkeypatch.setattr(RegressionBasis, "design", _pow_design)
     ref = run()
     assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
+
+
+def test_full_degree_reads_the_design_in_place(bs_model, put_1d, monkeypatch):
+    # at full degree lstsq and the exercise product get each date's design
+    # itself, not a copy of its columns
+    designs, fitted, applied = [], [], []
+    design, lstsq = RegressionBasis.design, np.linalg.lstsq
+
+    class Spied(np.ndarray):
+        def __matmul__(self, other):
+            applied.append(self)
+            return np.asarray(self) @ other
+
+    def spy_design(self, *args):
+        designs.append(design(self, *args).view(Spied))
+        return designs[-1]
+
+    def spy_lstsq(a, *args, **kwargs):
+        fitted.append(a)
+        return lstsq(np.asarray(a), *args, **kwargs)
+
+    monkeypatch.setattr(RegressionBasis, "design", spy_design)
+    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    n_steps = 12  # at the money: no date shrinks the basis
+    price_american_ls(bs_model, put_1d, 0.0, [SPOT], 1.0, n_steps, 2000,
+                      RegressionBasis(degree=3), seed=5)
+    assert len(designs) == len(applied) == 2 * (n_steps - 1)
+    assert len(fitted) == n_steps - 1
+    assert all(np.shares_memory(a, d) for a, d in zip(fitted, designs))
+    assert all(np.shares_memory(a, d) for a, d in zip(applied, designs))

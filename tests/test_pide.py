@@ -119,6 +119,21 @@ class TestAssemble:
         with pytest.raises(lp.QuadratureTailTooHeavy, match=r"intensity 5e-324 .*use lambda = 0"):
             lp.assemble(model, grid)
 
+    @pytest.mark.parametrize("n_space", [51, 201, 401])
+    def test_intensity_rule_ignores_node_count(self, put_1d, n_space):
+        # a subnormal intensity is refused and the smallest normal one
+        # assembles, whatever the node count
+        def grid_of(model):
+            return lp.build_grid(model, put_1d, [SPOT], 1.0, n_space, 20, beta=4.0,
+                                 trunc_tol=1e-5)
+
+        model = _drift_model(0.125, 0.0, 5e-324)
+        with pytest.raises(lp.QuadratureTailTooHeavy, match=r"intensity 5e-324 .*use lambda = 0"):
+            lp.assemble(model, grid_of(model))
+        tiny = np.finfo(float).tiny
+        model = _drift_model(0.125, 0.0, tiny)
+        assert lp.assemble(model, grid_of(model)).stencil.sum() > 0
+
     def test_explicit_jump_cfl_guard(self, put_1d):
         jumps = lp.JumpSpec(30.0, lp.MertonNormal(mean=[0.0], cov=[[0.01]]))
         model = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
