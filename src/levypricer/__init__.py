@@ -14,8 +14,8 @@ from .monte_carlo import (Estimate, MCConfig, RegressionBasis, estimate_premium_
                           price_american_ls, price_european_mc)
 from .payoffs import Payoff, load_payoff, payoff_from_dict
 from .pide import (DiscreteOperator, Grid, Solution, SolverConfig, assemble, build_grid,
-                   complementarity_residual, export_solution_csv, interpolate,
-                   solve_american_penalty, solve_european, solve_pair)
+                   complementarity_residual, export_solution_csv, solve_american_penalty,
+                   solve_european, solve_pair)
 from .premium import PremiumReport, boundary_curve, premium_identity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

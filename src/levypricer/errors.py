@@ -43,7 +43,7 @@ class NewtonStall(PricingError):
 
 
 class OutOfDomain(PricingError):
-    """Interpolation query outside the grid."""
+    """A premium integral asked to start at s != 0 (`premium_sweep`)."""
 
 
 class GridCoverageTooSmall(PricingError):

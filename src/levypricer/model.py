@@ -42,10 +42,29 @@ def whole_number(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.array(a, dtype=float)
+def real_number(value, name: str, lower: float = -np.inf, upper: float = np.inf) -> float:
+    """`value` as a float: an int or float, numpy's included (a bool or a
+    string is not one), strictly between `lower` and `upper`, so finite,
+    else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not lower < value < upper:  # NaN fails every comparison
+        raise ValueError(f"{name} must be finite and in ({lower:g}, {upper:g}), got {value!r}")
+    return float(value)
+
+
+def real_numbers(values, name: str) -> np.ndarray:
+    """`values`, a number or a (nested) list or array of them, as a float
+    array of its shape whose every entry is a finite `real_number`."""
+    entries = np.asarray(values, dtype=object)
+    return np.array([real_number(v, name) for v in entries.ravel().tolist()],
+                    dtype=float).reshape(entries.shape)
+
+
+def _as_matrix(a, name: str) -> np.ndarray:
+    m = real_numbers(a, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise ValueError(f"{name} must be a square matrix")
     return m
 
 
@@ -61,8 +80,8 @@ class MertonNormal:
     cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "cov", _as_matrix(self.cov))
+        object.__setattr__(self, "mean", np.atleast_1d(real_numbers(self.mean, "mean")))
+        object.__setattr__(self, "cov", _as_matrix(self.cov, "cov"))
         if self.cov.shape[0] != self.mean.shape[0]:
             raise ValueError("mean/cov dimension mismatch")
         eig = np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))
@@ -135,7 +154,7 @@ class KouDoubleExponential:
 
     def __post_init__(self):
         for name in ("p_up", "eta_plus", "eta_minus"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+            object.__setattr__(self, name, np.atleast_1d(real_numbers(getattr(self, name), name)))
         if not (self.p_up.shape == self.eta_plus.shape == self.eta_minus.shape):
             raise ValueError("Kou parameter shapes disagree")
         if np.any((self.p_up < 0) | (self.p_up > 1)):
@@ -190,8 +209,8 @@ class Empirical:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "jumps", np.atleast_2d(np.asarray(self.jumps, dtype=float)))
-        object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
+        object.__setattr__(self, "jumps", np.atleast_2d(real_numbers(self.jumps, "jumps")))
+        object.__setattr__(self, "probs", np.atleast_1d(real_numbers(self.probs, "probs")))
         if self.jumps.shape[0] != self.probs.shape[0]:
             raise ValueError("atoms/probabilities length mismatch")
         if np.any(self.probs < 0):
@@ -262,6 +281,7 @@ class JumpSpec:
     law: JumpLaw | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "intensity", real_number(self.intensity, "jump intensity lambda"))
         if self.intensity < 0:
             raise ValueError("jump intensity must be nonnegative")
         if self.intensity > 0 and self.law is None:
@@ -298,7 +318,7 @@ class GaussianPart:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_matrix(self.a))
+        object.__setattr__(self, "a", _as_matrix(self.a, "a"))
         if not np.array_equal(self.a, self.a.T):
             raise ValueError("covariance must be stored symmetric")
         if np.linalg.eigvalsh(self.a).min() <= 0:
@@ -319,7 +339,8 @@ class Rates:
     delta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", np.atleast_1d(np.asarray(self.delta, dtype=float)))
+        object.__setattr__(self, "r", real_number(self.r, "r"))
+        object.__setattr__(self, "delta", np.atleast_1d(real_numbers(self.delta, "delta")))
         if self.r < 0:
             raise ValueError("interest rate must be nonnegative")
         if np.any(self.delta < 0):
@@ -565,7 +586,7 @@ def jumps_from_dict(spec: dict) -> JumpSpec:
     if kind not in JUMP_KINDS:
         raise ValueError(f"unknown jump kind {kind!r}; known kinds: none, {', '.join(JUMP_KINDS)}")
     law = JUMP_KINDS[kind](**{f.name: spec[f.name] for f in fields(JUMP_KINDS[kind])})
-    return JumpSpec(intensity=float(spec["lambda"]), law=law)
+    return JumpSpec(intensity=spec["lambda"], law=law)
 
 
 def jumps_to_dict(jumps: JumpSpec) -> dict:
@@ -578,7 +599,7 @@ def jumps_to_dict(jumps: JumpSpec) -> dict:
 
 def model_from_dict(spec: dict) -> LevyModel:
     gaussian = GaussianPart(a=spec["a"])
-    rates = Rates(r=float(spec["rates"]["r"]), delta=spec["rates"]["delta"])
+    rates = Rates(r=spec["rates"]["r"], delta=spec["rates"]["delta"])
     jumps = jumps_from_dict(spec.get("jumps", {"kind": "none"}))
     model = LevyModel(gaussian, jumps, rates)
     if model.dim != whole_number(spec["dim"], "dim", 1):

@@ -202,8 +202,14 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
     contributing; sampled integrand uses the solver's exercise indicator,
     closed-form Psi^- and the interpolated jump field.  Paths start at s = 0
     only: step k is read from PIDE level k and discounted by grid.times[k].
-    The bands nest in the tolerance, so u is interpolated only where psi > 0
-    and Psi^-, the jump field and the payload only inside the widest band.
+    A path point is in the band of `tol` when
+    min(interp(u) - psi(x), interp(u - psi)) <= tol (1 + psi(x)): inside a
+    cell whose nodes are exercised the second term is 0, where the first is
+    the chord of psi less psi, far above tol for psi convex in log price
+    (calls); for concave psi (puts) the first term is the smaller.
+    The bands nest in the tolerance, so the gaps are interpolated only where
+    psi > 0 and Psi^-, the jump field and the payload only inside the widest
+    band.
     """
     if s != 0.0:
         raise OutOfDomain(f"premium integral starts at s = 0 only (got s = {s:g}); the model "
@@ -219,6 +225,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
                                  seed, n_threads=n_threads)
     tols = sorted(set(exercise_tols), reverse=True)  # bands nest: the first is the widest
     integrals = {tol: np.zeros(n_paths) for tol in exercise_tols}
+    gap_field = solution.values - solution.obstacle
     exited_total = 0
     for lo, block in blocks:
         nb = block.shape[0]
@@ -235,7 +242,8 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
             # only rows with psi > 0 inside the widest band carry a nonzero
             # payload; every other row would add +0.0
             pos = np.flatnonzero(psi > 0)
-            gap = interp_level(solution.values, grid, k, zin[pos]) - psi[pos]
+            gap = np.minimum(interp_level(solution.values, grid, k, zin[pos]) - psi[pos],
+                             interp_level(gap_field, grid, k, zin[pos]))
             scale = 1.0 + psi[pos]
             band = gap <= tols[0] * scale
             sel, gap, scale = pos[band], gap[band], scale[band]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KinkTooClose
-from .model import GaussianPart, Rates, whole_number
+from .model import GaussianPart, Rates, real_numbers, whole_number
 
 MIN_PUT = "min_put"
 INDEX_PUT = "index_put"
@@ -63,7 +63,7 @@ class Payoff:
             if value is None:
                 continue
             vector = key == "w" or (key == "K" and self.kind == MULTI_STRIKE)
-            value = np.asarray(value, dtype=float)
+            value = real_numbers(value, f"{self.kind} payoff key {key!r}")
             value = np.atleast_1d(value) if vector else value
             if value.shape != ((self.dim,) if vector else ()):
                 raise ValueError(f"{self.kind} payoff needs {self.dim if vector else 1} number(s) in key {key!r}")

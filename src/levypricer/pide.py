@@ -6,11 +6,12 @@ implicit (one linear solve per step), the jump integral is an explicit
 convolution against a stencil of jump-law cell masses, and the obstacle is
 enforced through a penalty source n (u - psi)^- driven up a ladder of n
 values, with semismooth-Newton inner iterations.  European and American
-solves run one backward sweep (the European one without obstacle) and keep
-its jump convolutions for the stored jump field.  The step matrix is
-factored once per operator; each Newton level starts from the previous
-level's active set.  A moved set is solved by refactorizing (1D) or by a
-low-rank update of the last penalized factor (2D).
+sweeps share one right-hand-side step and keep its jump convolutions for the
+stored jump field; the European sweep then solves once with the step
+factor, and only the American one runs the penalty Newton loop.  The step
+matrix is factored once per operator; each Newton level starts from the
+previous level's active set.  A moved set is solved by refactorizing (1D)
+or by a low-rank update of the last penalized factor (2D).
 `solve_pair` is the pipeline: grid, operator, American and European solves.
 
 In 1D the implicit matrices are `Tridiagonal` and `splu` factors them in
@@ -30,9 +31,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, OutOfDomain,
-                     PenaltyNonMonotone, QuadratureTailTooHeavy, SchemeNotMonotone)
-from .model import LevyModel, check_spot_and_maturity, corners, whole_number
+from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, PenaltyNonMonotone,
+                     QuadratureTailTooHeavy, SchemeNotMonotone)
+from .model import LevyModel, check_spot_and_maturity, corners, real_number, whole_number
 from .payoffs import Payoff
 
 if TYPE_CHECKING:
@@ -61,10 +62,10 @@ class SolverConfig:
         if not isinstance(ladder, (list, tuple)):
             raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
         object.__setattr__(self, "penalty_ladder",
-                           tuple(_real(v, "penalty_ladder entry", 0.0) for v in ladder))
+                           tuple(real_number(v, "penalty_ladder entry", 0.0) for v in ladder))
         for key, lower, upper in (("beta", -np.inf, np.inf), ("trunc_tol", 0.0, 1.0),
                                   ("y_max_tail", 0.0, 1.0), ("exercise_tol", 0.0, np.inf)):
-            object.__setattr__(self, key, _real(getattr(self, key), key, lower, upper))
+            object.__setattr__(self, key, real_number(getattr(self, key), key, lower, upper))
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SolverConfig":
@@ -72,17 +73,6 @@ class SolverConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "penalty_ladder": list(self.penalty_ladder)}
-
-
-def _real(value, name: str, lower: float = -np.inf, upper: float = np.inf) -> float:
-    """`value` as a float: an int or float (a bool or a string is not one)
-    strictly between `lower` and `upper`, so finite, else a ValueError
-    naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not lower < value < upper:  # NaN fails every comparison
-        raise ValueError(f"{name} must be finite and in ({lower:g}, {upper:g}), got {value!r}")
-    return float(value)
 
 
 def config_fields(cls, spec: dict) -> dict:
@@ -364,6 +354,12 @@ class DiscreteOperator:
         import scipy.sparse as sp
         return (self.step_matrix + sp.diags(n_pen * active.astype(float))).tocsc()
 
+    @property
+    def disc(self) -> float:
+        """e^{-r dt}, the discount each step applies after its solve (see
+        `step_matrix`)."""
+        return np.exp(-self.model.rates.r * self.grid.dt)
+
     @cached_property
     def step_lu(self):
         """LU of `step_matrix`, shared by every solve on this operator."""
@@ -558,27 +554,6 @@ def interp_level(solution_field: np.ndarray, grid: Grid, level: int, zq: np.ndar
     return out
 
 
-def interpolate(solution: Solution, t: float, x) -> float:
-    """Value at (t, x): linear in time, multilinear in log price; exact at nodes."""
-    grid = solution.grid
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != grid.dim:
-        raise OutOfDomain("query dimension mismatch")
-    if np.any(x <= 0):
-        raise OutOfDomain("price query must be strictly positive")
-    z = np.log(x)
-    if np.any(z < grid.z_min - 1e-12) or np.any(z > grid.z_max + 1e-12):
-        raise OutOfDomain("query outside the grid")
-    if not 0.0 <= t <= grid.T + 1e-12:
-        raise OutOfDomain("time outside [0, T]")
-    pos = min(t, grid.T) / grid.dt
-    k = min(int(np.floor(pos)), grid.n_time - 1)
-    w = pos - k
-    vals = interp_level(solution.values, grid, k, z) * (1 - w) \
-        + interp_level(solution.values, grid, k + 1, z) * w
-    return float(vals[0]) if vals.shape[0] == 1 else vals
-
-
 # --------------------------------------------------------------------------- #
 # Time stepping
 # --------------------------------------------------------------------------- #
@@ -593,49 +568,52 @@ def _update_budget(grid: Grid) -> int:
     return grid.n_space * (grid.dim - 1)
 
 
-def _sweep(operator: DiscreteOperator, psi: np.ndarray, far_field: tuple,
-           n_pen: float | None = None):
-    """One backward IMEX sweep: (values, source, convolutions, Newton solves,
-    factorizations, update columns).  `far_field` holds the solve's boundary
-    and ring values per level, from `_far_field_tables`.
+def _right_hand_side(operator: DiscreteOperator, values: np.ndarray, conv: np.ndarray,
+                     far_field: tuple, k: int) -> np.ndarray:
+    """The right-hand side of the step from level k + 1 to k, in pre-discount
+    units: u/dt plus the jump convolution K * u of level k + 1, kept in
+    `conv[k + 1]`, with the boundary rows of level k.  `far_field` holds the
+    solve's boundary and ring values per level, from `_far_field_tables`."""
+    boundary, ring = far_field
+    rhs = values[k + 1].ravel() / operator.grid.dt
+    if operator.lam > 0:
+        conv[k + 1] = operator.convolve(operator.extend(values[k + 1], ring[k + 1]))
+        rhs = rhs + conv[k + 1].ravel()
+    rhs[operator.boundary_mask] = boundary[k] / operator.disc
+    return rhs
 
-    Each step solves the implicit system against the explicit jump
-    convolution K * u of the level above, which is kept per level.  With
-    n_pen None there is no obstacle and each step is one solve with the
-    operator's step factor.  Otherwise each level starts from the previous
-    level's converged active set.  It still stops only when the set it
-    solved with is reproduced, and the penalized system has one solution,
-    so the start saves work without changing the answer.  Only interior
-    nodes with psi > 0 can be active: v ~ +-1e-17 at psi = 0 is round-off.
+
+def _penalty_sweep(operator: DiscreteOperator, psi: np.ndarray, far_field: tuple,
+                   n_pen: float):
+    """One backward sweep of the penalized problem: (values, source,
+    convolutions, Newton solves, factorizations, update columns).
+
+    Each level starts from the previous level's converged active set.  It
+    still stops only when the set it solved with is reproduced, and the
+    penalized system has one solution, so the start saves work without
+    changing the answer.  Only interior nodes with psi > 0 can be active:
+    v ~ +-1e-17 at psi = 0 is round-off.
     A set A is solved with the factor of a base set B and a Woodbury
     correction on D = A ^ B (Hager 1989): v = y - W z, y = M_B^-1 b,
     W = M_B^-1 U_D, (diag(s / n) + W_D) z = y_D, s = +1 entering, -1 leaving.
     W's columns are cached per base; past `_update_budget` A is refactorized.
     """
     grid = operator.grid
-    dt = grid.dt
-    boundary, ring = far_field
-    american = n_pen is not None
     values = np.empty((grid.n_time + 1, *grid.shape))
     conv = np.zeros_like(values)
-    source = np.zeros_like(values) if american else None
+    source = np.zeros_like(values)
     values[-1] = psi
     psi_flat = psi.ravel()
-    disc = np.exp(-operator.model.rates.r * dt)
-    psi_step = psi_flat / disc  # obstacle in pre-discount units
+    psi_step = psi_flat / operator.disc  # obstacle in pre-discount units
     candidates = grid.interior.ravel() & (psi_flat > 0)
     active = np.zeros_like(candidates)
     lu, base = operator.step_lu, active  # factor of step_matrix + n_pen diag(base)
-    budget = _update_budget(grid) if american else 0
+    budget = _update_budget(grid)
     block = np.empty((active.size, budget), order="F")  # M_B^-1 e_j, cached nodes j
     slot = np.full(active.size, -1)  # column of node j in `block`, -1 if not cached
     cached = solves = factorizations = columns = 0
     for k in range(grid.n_time - 1, -1, -1):
-        rhs = values[k + 1].ravel() / dt
-        if operator.lam > 0:
-            conv[k + 1] = operator.convolve(operator.extend(values[k + 1], ring[k + 1]))
-            rhs = rhs + conv[k + 1].ravel()
-        rhs[operator.boundary_mask] = boundary[k] / disc
+        rhs = _right_hand_side(operator, values, conv, far_field, k)
         for _ in range(_NEWTON_CAP):
             try:
                 changed = None
@@ -666,28 +644,32 @@ def _sweep(operator: DiscreteOperator, psi: np.ndarray, far_field: tuple,
             except RuntimeError as exc:  # pragma: no cover
                 raise LinearSolveFailure(str(exc)) from exc
             solves += 1
-            reached = candidates & (v < psi_step) if american else active
+            reached = candidates & (v < psi_step)
             if np.array_equal(reached, active):
                 break  # v solves the system for the set it was solved with
             active = reached
         else:
             raise NewtonStall(f"penalty iterations exceeded {_NEWTON_CAP} at level {k}")
-        u = disc * v
-        if american:
-            source[k] = (n_pen * np.maximum(psi_flat - u, 0.0)).reshape(grid.shape)
-            # projection safeguard: finite penalty leaves a O(Psi^-/n) gap
-            # below the obstacle; clip so the stored field honours u >= psi
-            u = np.maximum(u, psi_flat)
-        values[k] = u.reshape(grid.shape)
+        u = operator.disc * v
+        source[k] = (n_pen * np.maximum(psi_flat - u, 0.0)).reshape(grid.shape)
+        # projection safeguard: finite penalty leaves a O(Psi^-/n) gap
+        # below the obstacle; clip so the stored field honours u >= psi
+        values[k] = np.maximum(u, psi_flat).reshape(grid.shape)
     return values, source, conv, solves, factorizations, columns
 
 
 def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
                    operator: DiscreteOperator) -> Solution:
-    """Backward IMEX sweep for the Cauchy problem (no obstacle)."""
+    """Backward IMEX sweep for the Cauchy problem (no obstacle): per level
+    one solve with the operator's step factor, then the discount."""
     psi = payoff.evaluate(np.exp(grid.mesh()))
     far_field = _far_field_tables(operator, payoff, american=False)
-    values, _, conv, *_ = _sweep(operator, psi, far_field)
+    values = np.empty((grid.n_time + 1, *grid.shape))
+    conv = np.zeros_like(values)
+    values[-1] = psi
+    for k in range(grid.n_time - 1, -1, -1):
+        rhs = _right_hand_side(operator, values, conv, far_field, k)
+        values[k] = (operator.disc * operator.step_lu.solve(rhs)).reshape(grid.shape)
     return Solution(grid=grid, kind="european", payoff=payoff, values=values,
                     obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
                     jump_field=_jump_field(operator, values, conv, far_field[1]),
@@ -716,7 +698,7 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     prev = None
     changes, solves, factorizations, columns = [], [], [], []
     for n_pen in ladder:
-        values, source, conv, *counts = _sweep(operator, psi, far_field, n_pen)
+        values, source, conv, *counts = _penalty_sweep(operator, psi, far_field, n_pen)
         for total, count in zip((solves, factorizations, columns), counts):
             total.append(count)
         if prev is not None:

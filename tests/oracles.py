@@ -120,6 +120,27 @@ def sparse_operator_1d(model, grid, n_pen, active):
     return local.tocsr(), step, (step + sp.diags(n_pen * active.astype(float))).tocsc()
 
 
+def direct_step(operator, payoff, upper, k):
+    """The European values of level k from those of level k + 1, `upper`,
+    built afresh as a reference for the solver's shared step: the jump
+    convolution through `extend` with ring values from one scalar
+    `far_field_values` call, boundary rows from another, the solve by
+    `spsolve` on the step matrix (`sparse_operator_1d`'s in 1D), then the
+    discount e^{-r dt}."""
+    from scipy.sparse.linalg import spsolve
+    grid, model = operator.grid, operator.model
+    disc = np.exp(-model.rates.r * grid.dt)
+    rhs = upper.ravel() / grid.dt
+    if operator.lam > 0:
+        ring = far_field_values(payoff, model, operator.ring_prices, grid.T - grid.times[k + 1])
+        rhs = rhs + operator.convolve(operator.extend(upper, ring)).ravel()
+    rhs[operator.boundary_mask] = far_field_values(
+        payoff, model, operator.boundary_prices, grid.T - grid.times[k]) / disc
+    step = operator.step_matrix if grid.dim == 2 else \
+        sparse_operator_1d(model, grid, 0.0, np.zeros(grid.n_space, dtype=bool))[1]
+    return disc * spsolve(step, rhs).reshape(grid.shape)
+
+
 def reference_sample_sums(law, rng, counts):
     """Jump sums of every row, zero where `counts` is 0, by the full-size
     samplers of the three laws that the row-selecting ones replaced; same

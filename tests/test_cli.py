@@ -239,6 +239,17 @@ class TestPrice:
         assert code != 0 and captured.out == ""
         assert words in captured.err
 
+    def test_non_finite_payoff_real_prints_no_price(self, small_setup, capsys):
+        # "K": NaN once printed NaN prices with exit 0
+        model, _, solver, _, out = small_setup
+        payoff = _write(out.parent, "nan_strike.json", {"kind": "min_put", "dim": 1,
+                                                        "K": float("nan")})
+        code = main(["price", "--model", model, "--payoff", payoff, "--spot", "100",
+                     "--T", "1.0", "--method", "pide", "--solver-config", solver])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "payoff key 'K' must be finite" in captured.err
+
     def test_payoff_model_dimension_mismatch(self, small_setup, tmp_path):
         _, payoff, _, _, out = small_setup  # a 1-asset put on the 2-asset model
         model = str(CONFIGS / "models" / "merton2d.json")

@@ -332,6 +332,28 @@ def test_model_json_roundtrip(merton_model, kou_model):
         assert lp.model_to_dict(lp.model_from_dict(json.loads(json.dumps(out)))) == out
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind, path", [
+    ("merton", ("rates", "r")), ("merton", ("rates", "delta", 0)), ("merton", ("a", 0, 0)),
+    ("merton", ("jumps", "lambda")), ("merton", ("jumps", "mean", 0)),
+    ("merton", ("jumps", "cov", 0, 0)), ("kou", ("jumps", "p_up", 0)),
+    ("kou", ("jumps", "eta_plus", 0)), ("kou", ("jumps", "eta_minus", 0)),
+    ("empirical", ("jumps", "jumps", 0, 0)), ("empirical", ("jumps", "probs", 0))],
+    ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
+def test_non_finite_model_reals_are_refused(kind, path, bad):
+    # a NaN lambda, jump mean or covariance, or an infinite a, once priced the
+    # min-put as K e^{-r T} by Monte Carlo; a NaN a was refused as unsymmetric
+    spec = json.loads((MODEL_DIR / f"{kind}1d.json").read_text())
+    *parents, last = path
+    node = spec
+    for key in parents:
+        node = node[key]
+    node[last] = bad
+    key = next(k for k in reversed(path) if isinstance(k, str))
+    with pytest.raises(ValueError, match=rf"\b{key} must be finite"):
+        lp.model_from_dict(spec)
+
+
 @pytest.mark.parametrize("dim", [2.5, [2], True, "2", 0, None])
 def test_model_dim_must_be_a_whole_number(dim):
     spec = {"dim": dim, "a": [[0.04, 0.0], [0.0, 0.04]],

@@ -186,6 +186,38 @@ class TestPremiumEstimator:
         jf = amer.jump_field[k][mask]
         assert (psim - jf).min() > -1e-3
 
+    def test_band_holds_inside_exercised_cells_of_a_convex_payoff(self):
+        # u = psi at every node for a max-call, convex in log price: at a
+        # cell midpoint the chord of psi lies far above psi, yet every
+        # in-the-money path point is in the band
+        model = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), lp.JumpSpec(0.0),
+                             lp.Rates(r=0.02, delta=[0.08]))
+        payoff = lp.Payoff.max_call(100.0, 1)
+        grid = lp.build_grid(model, payoff, [SPOT], 1.0, 51, 10, beta=4.0, trunc_tol=1e-5)
+        psi = payoff.evaluate(np.exp(grid.mesh()))
+        values = np.repeat(psi[None], grid.n_time + 1, axis=0)
+        sol = lp.Solution(grid=grid, kind="american", payoff=payoff, values=values,
+                          obstacle=psi, exercise_set=values > 0,
+                          jump_field=np.zeros_like(values))
+        tol = 1e-6
+        z = grid.axes[0]
+        j = np.flatnonzero(psi > 0)[0]
+        mid = np.array([[0.5 * (z[j] + z[j + 1])]])
+        psi_mid = payoff.evaluate(np.exp(mid))[0]
+        assert interp_level(values, grid, 0, mid)[0] - psi_mid > 1e3 * tol * (1.0 + psi_mid)
+        assert interp_level(values - psi, grid, 0, mid)[0] == 0.0
+        out = premium_sweep(model, payoff, sol, 0.0, [SPOT], 1.0, 4000, seed=3,
+                            exercise_tols=(tol,))
+        want = np.zeros(4000)
+        for lo, block in simulate_log_blocks(model, np.array([SPOT]), 0.0, 1.0, grid.n_time,
+                                             4000, 3):
+            for k in range(grid.n_time):
+                psim = payoff.psi_minus(np.exp(block[:, k]), model.rates, model.gaussian)
+                want[lo:lo + block.shape[0]] += np.exp(-0.02 * grid.times[k]) * psim * grid.dt
+        assert out["exit_fraction"] == 0.0
+        assert want.mean() > 0.1
+        assert out[tol].mean == pytest.approx(want.mean(), rel=1e-12)
+
     def test_time_grid_must_match(self, bs_solves, bs_model, put_1d):
         grid, _, amer, _ = bs_solves
         with pytest.raises(ValueError):
@@ -286,8 +318,10 @@ def _untie(payoff, prices):
 def _row_by_row_sweep(model, payoff, solution, x, n_paths, seed, tols, n_threads):
     """Reference premium sweep: the integrand on every inside path at every
     step, zero outside the band, accumulated through a mask, with tied prices
-    jittered off the tie set first."""
+    jittered off the tie set first.  The band holds where the smaller of
+    interp(u) - psi and interp(u - psi) is within the tolerance."""
     grid = solution.grid
+    gap_field = solution.values - solution.obstacle
     integrals = {tol: np.empty(n_paths) for tol in tols}
     exited = 0
     for lo, block in simulate_log_blocks(model, np.asarray(x, dtype=float), 0.0, grid.T,
@@ -304,12 +338,13 @@ def _row_by_row_sweep(model, payoff, solution, x, n_paths, seed, tols, n_threads
             prices = _untie(payoff, np.exp(zin))
             psi = payoff.evaluate(prices)
             psim = payoff.psi_minus(prices, model.rates, model.gaussian)
-            u = interp_level(solution.values, grid, k, zin)
+            gap = np.minimum(interp_level(solution.values, grid, k, zin) - psi,
+                             interp_level(gap_field, grid, k, zin))
             jf = interp_level(solution.jump_field, grid, k, zin)
             disc = np.exp(-model.rates.r * grid.times[k])
             payload = disc * (psim > 0) * (psim - jf) * grid.dt
             for tol in tols:
-                in_band = u - psi <= tol * (1.0 + psi)
+                in_band = gap <= tol * (1.0 + psi)
                 acc[tol][inside] += np.where(in_band, payload, 0.0)
         exited += int(nb - inside.sum())
         for tol in tols:

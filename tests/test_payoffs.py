@@ -296,6 +296,20 @@ def test_spec_dim_must_be_a_whole_number(dim):
     assert lp.Payoff.min_put(100.0, np.int64(2)).dim == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("spec, key", [
+    (lambda x: {"kind": "max_call", "dim": 1, "K": x}, "K"),
+    (lambda x: {"kind": "multi_strike", "dim": 2, "K": [100.0, x]}, "K"),
+    (lambda x: {"kind": "index_call", "dim": 2, "K": 100.0, "w": [0.5, x]}, "w"),
+    (lambda x: {"kind": "power_product", "dim": 1, "K": 100.0, "gamma": x}, "gamma"),
+    (lambda x: {"kind": "constant", "dim": 1, "c": x}, "c")],
+    ids=["K", "K-vector", "w", "gamma", "c"])
+def test_non_finite_payoff_reals_are_refused(spec, key, bad):
+    # a NaN strike once printed NaN prices with exit 0
+    with pytest.raises(ValueError, match=f"payoff key '{key}' must be finite"):
+        lp.payoff_from_dict(spec(bad))
+
+
 def test_evaluate_rejects_points_of_another_dimension():
     with pytest.raises(ValueError, match="1 asset"):
         lp.Payoff.min_put(100.0, 1).evaluate(np.array([[90.0, 90.0]]))

@@ -10,7 +10,7 @@ import levypricer as lp
 from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
 from oracles import (apply_jump_operator, beg_two_asset, bs_put, crr_american_put,
-                     merton_put_series, ndimage_exercise_band, scipy_fft_convolve_valid,
+                     direct_step, merton_put_series, ndimage_exercise_band, scipy_fft_convolve_valid,
                      sparse_operator_1d, stulz_two_asset)
 from test_payoff_properties import catalog
 
@@ -181,6 +181,21 @@ class TestSolveEuropean:
             tau = grid.T - grid.times[k]
             lower = far_field_values(put_1d, bs_model, np.exp(zmesh), tau)
             assert (eur.values[k] - lower).min() > -5e-3
+
+
+    @pytest.mark.parametrize("model, payoff, spot, T, n_space, n_time, beta", [
+        ("merton_model", "put_1d", [SPOT], 1.0, 201, 50, 4.0),
+        ("merton2d_model", "min_put_2d", [SPOT, SPOT], 0.5, 51, 10, 5.0)],
+        ids=["merton1d", "merton2d"])
+    def test_every_level_is_the_direct_step(self, model, payoff, spot, T, n_space, n_time,
+                                           beta, request):
+        model, payoff = request.getfixturevalue(model), request.getfixturevalue(payoff)
+        grid = lp.build_grid(model, payoff, spot, T, n_space, n_time, beta, trunc_tol=1e-5)
+        op = lp.assemble(model, grid)
+        eur = lp.solve_european(model, payoff, grid, op)
+        for k in range(grid.n_time):
+            want = direct_step(op, payoff, eur.values[k + 1], k)
+            assert np.abs(eur.values[k] - want).max() <= 1e-12 * np.abs(want).max(), k
 
 
 class TestSolveAmerican:
@@ -563,33 +578,6 @@ class TestJumpOperator:
 
 
 class TestInterpolate:
-    def test_exact_at_nodes(self, bs_solves):
-        grid, _, amer, _ = bs_solves
-        j = 123
-        x = float(np.exp(grid.axes[0][j]))
-        t = grid.times[7]
-        assert lp.interpolate(amer, t, [x]) == pytest.approx(amer.values[7, j], rel=1e-12)
-
-    def test_midpoint_linear(self, bs_solves):
-        grid, _, amer, _ = bs_solves
-        z0, z1 = grid.axes[0][200], grid.axes[0][201]
-        xm = float(np.exp(0.5 * (z0 + z1)))
-        got = lp.interpolate(amer, 0.0, [xm])
-        want = 0.5 * (amer.values[0, 200] + amer.values[0, 201])
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_obstacle_respected_at_strike(self, bs_solves, put_1d):
-        _, _, amer, _ = bs_solves
-        v = lp.interpolate(amer, 0.5, [100.0])
-        assert v >= put_1d.evaluate(np.array([100.0])) - 1e-9
-
-    def test_out_of_domain(self, bs_solves):
-        _, _, amer, _ = bs_solves
-        with pytest.raises(lp.OutOfDomain):
-            lp.interpolate(amer, 0.0, [1e9])
-        with pytest.raises(lp.OutOfDomain):
-            lp.interpolate(amer, 2.5, [100.0])
-
     def test_level_interp_vectorized(self, bs_solves):
         grid, _, amer, _ = bs_solves
         zq = np.array([[np.log(95.0)], [np.log(105.0)]])
@@ -753,12 +741,6 @@ class TestTwoDimensional:
         from scipy.fft import next_fast_len
         assert [pide._next_fast_len(n) for n in range(1, 5000)] == \
             [next_fast_len(n, True) for n in range(1, 5000)]
-
-    def test_interpolate_bilinear(self, minput2d_solves):
-        grid, _, amer, _ = minput2d_solves
-        i, j = 60, 80
-        x = np.exp([grid.axes[0][i], grid.axes[1][j]])
-        assert lp.interpolate(amer, 0.0, x) == pytest.approx(amer.values[0, i, j], rel=1e-12)
 
 
 def _min_put_100(s1, s2):
