@@ -43,7 +43,7 @@ class NewtonStall(PricingError):
 
 
 class OutOfDomain(PricingError):
-    """A premium integral asked to start at s != 0 (`premium_sweep`)."""
+    """A premium integral asked to start at s != 0 (`estimate_premium_mc`)."""
 
 
 class GridCoverageTooSmall(PricingError):

@@ -193,15 +193,16 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
 # Premium integral
 # --------------------------------------------------------------------------- #
 
-def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float, x,
-                  T: float, n_paths: int, seed: int, exercise_tols: tuple,
-                  n_threads: int = 1) -> dict:
-    """Pathwise premium integral for several exercise-band tolerances at once.
+def premium_sweep(model: LevyModel, solution: Solution, x, n_paths: int, seed: int,
+                  exercise_tols: tuple, n_threads: int = 1) -> tuple[dict, float]:
+    """Pathwise premium integral of `solution` for several exercise-band
+    tolerances at once: ({tol: Estimate}, exit fraction).
 
-    Time grid matches the PIDE grid; paths exiting the lattice stop
-    contributing; sampled integrand uses the solver's exercise indicator,
-    closed-form Psi^- and the interpolated jump field.  Paths start at s = 0
-    only: step k is read from PIDE level k and discounted by grid.times[k].
+    Paths start at t = 0 from `x` and step on the solution's time grid: step
+    k is read from PIDE level k and discounted by grid.times[k]; paths exiting
+    the lattice stop contributing.  The sampled integrand is the indicator of
+    the u - psi band below (not the solver's stored exercise set), closed-form
+    Psi^- of the solution's payoff and the interpolated jump field.
     A path point is in the band of `tol` when
     min(interp(u) - psi(x), interp(u - psi)) <= tol (1 + psi(x)): inside a
     cell whose nodes are exercised the second term is 0, where the first is
@@ -211,18 +212,10 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
     psi > 0 and Psi^-, the jump field and the payload only inside the widest
     band.
     """
-    if s != 0.0:
-        raise OutOfDomain(f"premium integral starts at s = 0 only (got s = {s:g}); the model "
-                          f"is time-homogeneous, so solve with maturity T - s and pass s = 0")
-    grid = solution.grid
-    if abs(T - grid.T) > 1e-12:
-        raise ValueError("premium integral must use the solution's maturity")
-    n_steps = grid.n_time
-    dt = grid.dt
-    times = grid.times
-    r = model.rates.r
-    blocks = simulate_log_blocks(model, np.asarray(x, dtype=float), s, T, n_steps, n_paths,
-                                 seed, n_threads=n_threads)
+    grid, payoff = solution.grid, solution.payoff
+    dt, times, r = grid.dt, grid.times, model.rates.r
+    blocks = simulate_log_blocks(model, np.asarray(x, dtype=float), 0.0, grid.T, grid.n_time,
+                                 n_paths, seed, n_threads=n_threads)
     tols = sorted(set(exercise_tols), reverse=True)  # bands nest: the first is the widest
     integrals = {tol: np.zeros(n_paths) for tol in exercise_tols}
     gap_field = solution.values - solution.obstacle
@@ -230,7 +223,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
     for lo, block in blocks:
         nb = block.shape[0]
         inside = np.ones(nb, dtype=bool)
-        for k in range(n_steps):
+        for k in range(grid.n_time):
             zk = block[:, k, :]
             inside &= _across(np.logical_and, (zk >= grid.z_min) & (zk <= grid.z_max))
             rows = np.flatnonzero(inside)  # block rows; paths lo + rows
@@ -257,9 +250,7 @@ def premium_sweep(model: LevyModel, payoff: Payoff, solution: Solution, s: float
     exit_fraction = exited_total / n_paths
     if exit_fraction >= 1e-3:
         raise GridCoverageTooSmall(f"exit fraction {exit_fraction:.2e} >= 1e-3")
-    out = {tol: _estimate(vals, n_paths, seed) for tol, vals in integrals.items()}
-    out["exit_fraction"] = exit_fraction
-    return out
+    return {tol: _estimate(vals, n_paths, seed) for tol, vals in integrals.items()}, exit_fraction
 
 
 def estimate_premium_mc(model: LevyModel, payoff: Payoff, solution: Solution,
@@ -268,12 +259,17 @@ def estimate_premium_mc(model: LevyModel, payoff: Payoff, solution: Solution,
     """Monte Carlo estimate of the early-exercise premium.
 
     Averages the discounted integral of 1_{exercise band} 1_{Psi^- > 0}
-    (Psi^- - L_I u) along simulated paths; the exercise indicator, its band
-    tolerance and the jump field come from the solved American field.
+    (Psi^- - L_I u) along simulated paths; the band, its tolerance and the
+    jump field come from the solved American field, which must have been
+    solved for `payoff` and `T`, on `n_steps` time steps.
     """
+    if s != 0.0:
+        raise OutOfDomain(f"premium integral starts at s = 0 only (got s = {s:g}); the model "
+                          f"is time-homogeneous, so solve with maturity T - s and pass s = 0")
+    solution.check_solved_for(payoff, T)
     if n_steps != solution.grid.n_time:
         raise ValueError("premium time grid must match the PIDE time grid")
     tol = solution.exercise_tol
-    sweep = premium_sweep(model, payoff, solution, s, x, T, n_paths, seed,
-                          exercise_tols=(tol,), n_threads=n_threads)
-    return sweep[tol]
+    estimates, _ = premium_sweep(model, solution, x, n_paths, seed, exercise_tols=(tol,),
+                                 n_threads=n_threads)
+    return estimates[tol]

@@ -35,8 +35,6 @@ KINDS = {MIN_PUT: ("K",), INDEX_PUT: ("K", "w"), SPREAD_PUT: ("K", "w"),
          MULTI_STRIKE: ("K",), POWER_PRODUCT: ("K", "gamma"), CONSTANT: ("c",)}
 _FIELDS = {"K": "strike", "w": "weights", "gamma": "gamma_pow", "c": "const"}
 
-CATALOG = tuple(kind for kind in KINDS if kind != CONSTANT)
-
 
 @dataclass(frozen=True)
 class Payoff:

@@ -363,7 +363,7 @@ class DiscreteOperator:
     @cached_property
     def step_lu(self):
         """LU of `step_matrix`, shared by every solve on this operator."""
-        return _factor(self.step_matrix)
+        return splu(self.step_matrix)
 
 
 def _next_fast_len(n: int) -> int:
@@ -379,21 +379,13 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
-def splu(matrix, **options):
-    """The one factorization entry point: a `Tridiagonal` gets the numpy
-    `_TridiagonalLU`, any other matrix scipy's sparse LU with `options`
-    (`scipy.sparse.linalg` loads at the first such call)."""
-    if isinstance(matrix, Tridiagonal):
-        return _TridiagonalLU(matrix)
-    from scipy.sparse.linalg import splu
-    return splu(matrix, **options)
+def splu(matrix):
+    """LU of a step or penalized matrix, the one factorization entry point.
 
-
-def _factor(matrix):
-    """LU of a step or penalized matrix.  A 1D `Tridiagonal` is factored
-    without row exchanges (see `_TridiagonalLU`); a 2D sparse matrix by
-    SuperLU with a symmetric minimum-degree order (Liu 1985) on the pattern of
-    A + A^T and diagonal pivots.
+    A 1D `Tridiagonal` gets the numpy `_TridiagonalLU`, without row
+    exchanges.  A 2D sparse matrix gets SuperLU (`scipy.sparse.linalg` loads
+    at the first such call) with a symmetric minimum-degree order (Liu 1985)
+    on the pattern of A + A^T and diagonal pivots.
 
     Every 2D such matrix has a symmetric pattern; on a 2D grid this order fills
     the factor 1.3-1.6x less than SuperLU's default COLAMD.  Diagonal pivots
@@ -403,6 +395,9 @@ def _factor(matrix):
     guard bounds.  At 0.999 of that bound the rows are not diagonally
     dominant, and the solve still matches partial pivoting to 1e-12.
     """
+    if isinstance(matrix, Tridiagonal):
+        return _TridiagonalLU(matrix)
+    from scipy.sparse.linalg import splu
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
@@ -534,6 +529,12 @@ class Solution:
     def value_at_spot(self) -> float:
         return float(self.values[(0, *self.grid.center_index)])
 
+    def check_solved_for(self, payoff: Payoff, T: float) -> None:
+        """Refuse a caller's payoff or maturity this solution was not solved for."""
+        if self.payoff.to_dict() != payoff.to_dict() or abs(T - self.grid.T) > 1e-12:
+            raise ValueError(f"the {self.kind} solution was solved for {self.payoff.to_dict()} "
+                             f"at maturity {self.grid.T:g}, not {payoff.to_dict()} at maturity {T:g}")
+
 
 def interp_level(solution_field: np.ndarray, grid: Grid, level: int, zq: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of `solution_field[level]` at query log-points (n, d):
@@ -616,26 +617,22 @@ def _penalty_sweep(operator: DiscreteOperator, psi: np.ndarray, far_field: tuple
         rhs = _right_hand_side(operator, values, conv, far_field, k)
         for _ in range(_NEWTON_CAP):
             try:
-                changed = None
-                if not np.array_equal(active, base):
-                    if budget and active.any():
-                        changed = np.flatnonzero(active ^ base)
-                        new = changed[slot[changed] < 0]
-                    if changed is None or cached + new.size > budget:
-                        lu = changed = None  # release the stale factor before building the next
-                        lu = operator.step_lu if not active.any() else _factor(
-                            operator.penalized_matrix(n_pen, active))
-                        factorizations += bool(active.any())
-                        slot[slot >= 0], cached, base = -1, 0, active
-                    elif new.size:  # one multi-RHS solve for the nodes not cached yet
-                        end = cached + new.size
-                        # unit columns e_j, j in new, in the column order SuperLU reads
-                        units = (np.arange(active.size)[:, None] == new).astype(float, order="F")
-                        block[:, cached:end] = lu.solve(units)
-                        slot[new], cached, columns = np.arange(cached, end), end, columns + new.size
-                v = operator.step_lu.solve(rhs) if not active.any() \
-                    else lu.solve(rhs + n_pen * active * psi_step)
-                if changed is not None:  # capacitance system on the changed nodes
+                changed = np.flatnonzero(active ^ base)
+                new = changed[slot[changed] < 0]
+                if changed.size and (cached + new.size > budget or not active.any()):
+                    lu = None  # release the stale factor before building the next
+                    lu = splu(operator.penalized_matrix(n_pen, active)) if active.any() \
+                        else operator.step_lu
+                    factorizations += bool(active.any())
+                    slot[slot >= 0], cached, base, changed = -1, 0, active, changed[:0]
+                elif new.size:  # one multi-RHS solve for the nodes not cached yet
+                    end = cached + new.size
+                    # unit columns e_j, j in new, in the column order SuperLU reads
+                    units = (np.arange(active.size)[:, None] == new).astype(float, order="F")
+                    block[:, cached:end] = lu.solve(units)
+                    slot[new], cached, columns = np.arange(cached, end), end, columns + new.size
+                v = lu.solve(rhs + n_pen * active * psi_step)
+                if changed.size:  # capacitance system on the changed nodes
                     z = np.zeros(cached)
                     z[slot[changed]] = np.linalg.solve(
                         np.diag(np.where(active[changed], 1.0, -1.0) / n_pen)

@@ -67,10 +67,11 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
     """Assemble the report from solved (american, european) `solutions`.
 
     Refuses inadmissible models (`check_admissible`), and `solutions` solved
-    for another payoff or spot.  The identity gap is
+    for another payoff, maturity or spot.  The identity gap is
     |american - european - premium| at the solver's exercise tolerance; the
     sensitivity map re-evaluates the Monte Carlo premium for the band
-    tolerances 1e-5, 1e-6, 1e-7 from the same paths.
+    tolerances 1e-5, 1e-6, 1e-7 from the same paths, which step on the
+    American solution's time grid: its `n_time` is the recorded MC `n_steps`.
     """
     check_admissible(model, payoff, solver_cfg)
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
@@ -78,31 +79,32 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
     if american.kind != "american" or european.kind != "european":
         raise ValueError("expected (american, european) solutions")
     for sol in solutions:
-        if sol.payoff.to_dict() != payoff.to_dict() or not np.array_equal(sol.grid.z_center, np.log(spot)):
-            raise ValueError(f"the {sol.kind} solution was solved for {sol.payoff.to_dict()} at spot "
-                             f"{np.exp(sol.grid.z_center).tolist()}, not this payoff and spot")
+        sol.check_solved_for(payoff, T)
+        if not np.array_equal(sol.grid.z_center, np.log(spot)):
+            raise ValueError(f"the {sol.kind} solution was solved for spot "
+                             f"{np.exp(sol.grid.z_center).tolist()}, not {spot.tolist()}")
 
     base_tol = american.exercise_tol
     tols = tuple(sorted(set(SENSITIVITY_TOLS) | {base_tol}, reverse=True))
-    sweep = premium_sweep(model, payoff, american, 0.0, spot, T,
-                          mc_cfg.n_paths, mc_cfg.seed, exercise_tols=tols,
-                          n_threads=mc_cfg.n_threads)
+    estimates, exit_fraction = premium_sweep(model, american, spot, mc_cfg.n_paths,
+                                             mc_cfg.seed, exercise_tols=tols,
+                                             n_threads=mc_cfg.n_threads)
     amer = american.value_at_spot()
     eur = european.value_at_spot()
-    premium = sweep[base_tol]
+    premium = estimates[base_tol]
     gap = abs(amer - eur - premium.mean)
     tolerance = max(0.005 * amer, 3.0 * premium.stderr)
-    sensitivity = {tol: abs(amer - eur - sweep[tol].mean) for tol in SENSITIVITY_TOLS}
+    sensitivity = {tol: abs(amer - eur - estimates[tol].mean) for tol in SENSITIVITY_TOLS}
     spread = max(sensitivity.values()) - min(sensitivity.values())
     sensitive = spread >= tolerance
     passed = gap <= tolerance and not sensitive
-    inputs = {"spot": spot.tolist(), "T": T,
-              "solver": solver_cfg.to_dict(), "mc": mc_cfg.to_dict(),
+    inputs = {"spot": spot.tolist(), "T": T, "solver": solver_cfg.to_dict(),
+              "mc": {**mc_cfg.to_dict(), "n_steps": american.grid.n_time},
               "payoff": payoff.to_dict()}
     return PremiumReport(american_pide=amer, european_pide=eur, premium_mc=premium,
                          identity_gap=gap, tolerance=tolerance, passed=passed,
                          sensitivity=sensitivity, tolerance_sensitive=sensitive,
-                         exit_fraction=sweep["exit_fraction"], inputs=inputs)
+                         exit_fraction=exit_fraction, inputs=inputs)
 
 
 # --------------------------------------------------------------------------- #

@@ -206,15 +206,14 @@ class TestPremiumEstimator:
         psi_mid = payoff.evaluate(np.exp(mid))[0]
         assert interp_level(values, grid, 0, mid)[0] - psi_mid > 1e3 * tol * (1.0 + psi_mid)
         assert interp_level(values - psi, grid, 0, mid)[0] == 0.0
-        out = premium_sweep(model, payoff, sol, 0.0, [SPOT], 1.0, 4000, seed=3,
-                            exercise_tols=(tol,))
+        out, exit_fraction = premium_sweep(model, sol, [SPOT], 4000, seed=3, exercise_tols=(tol,))
         want = np.zeros(4000)
         for lo, block in simulate_log_blocks(model, np.array([SPOT]), 0.0, 1.0, grid.n_time,
                                              4000, 3):
             for k in range(grid.n_time):
                 psim = payoff.psi_minus(np.exp(block[:, k]), model.rates, model.gaussian)
                 want[lo:lo + block.shape[0]] += np.exp(-0.02 * grid.times[k]) * psim * grid.dt
-        assert out["exit_fraction"] == 0.0
+        assert exit_fraction == 0.0
         assert want.mean() > 0.1
         assert out[tol].mean == pytest.approx(want.mean(), rel=1e-12)
 
@@ -226,11 +225,20 @@ class TestPremiumEstimator:
 
     def test_start_time_must_be_zero(self, bs_solves, bs_model, put_1d):
         grid, _, amer, _ = bs_solves
-        with pytest.raises(lp.OutOfDomain, match="s = 0"):
-            premium_sweep(bs_model, put_1d, amer, 0.25, [SPOT], 1.0, 1000,
-                          seed=0, exercise_tols=(1e-6,))
         with pytest.raises(lp.OutOfDomain, match="T - s"):
             estimate_premium_mc(bs_model, put_1d, amer, 0.25, [SPOT], 1.0,
+                                1000, grid.n_time, seed=0)
+
+    @pytest.mark.parametrize("payoff, T", [(lp.Payoff.max_call(100.0, 1), 1.0),
+                                           (lp.Payoff.min_put(100.0, 1), 0.5)],
+                             ids=["payoff", "maturity"])
+    def test_solution_for_another_payoff_or_maturity_rejected(self, bs_solves, bs_model,
+                                                              payoff, T):
+        # a put solution read for a call put no path in the band: the
+        # estimate came out 0.0 with no error
+        grid, _, amer, _ = bs_solves
+        with pytest.raises(ValueError, match="solution was solved for"):
+            estimate_premium_mc(bs_model, payoff, amer, 0.0, [SPOT], T,
                                 1000, grid.n_time, seed=0)
 
     def test_grid_coverage_guard(self, bs_model, put_1d):
@@ -246,9 +254,9 @@ class TestPremiumEstimator:
 
     def test_sweep_tolerance_keys(self, bs_solves, bs_model, put_1d):
         grid, _, amer, _ = bs_solves
-        out = premium_sweep(bs_model, put_1d, amer, 0.0, [SPOT], 1.0, 10_000,
-                            seed=54, exercise_tols=(1e-5, 1e-6))
-        assert set(out) == {1e-5, 1e-6, "exit_fraction"}
+        out, exit_fraction = premium_sweep(bs_model, amer, [SPOT], 10_000, seed=54,
+                                           exercise_tols=(1e-5, 1e-6))
+        assert set(out) == {1e-5, 1e-6} and exit_fraction == 0.0
         assert out[1e-5].mean >= out[1e-6].mean - 1e-12  # wider band, larger set
 
 
@@ -393,9 +401,9 @@ class TestPremiumCompaction:
         ref, exit_fraction = _row_by_row_sweep(model, payoff, amer, spot, 4000, 61, tols,
                                                n_threads)
         # a repeated tolerance must not be accumulated twice
-        out = premium_sweep(model, payoff, amer, 0.0, spot, amer.grid.T, 4000, seed=61,
-                            exercise_tols=tols + (1e-6,), n_threads=n_threads)
-        assert out["exit_fraction"] == exit_fraction
+        out, exited = premium_sweep(model, amer, spot, 4000, seed=61,
+                                    exercise_tols=tols + (1e-6,), n_threads=n_threads)
+        assert exited == exit_fraction
         for tol in tols:
             assert (out[tol].mean, out[tol].stderr) == (ref[tol].mean, ref[tol].stderr), tol
         assert out[1e-5].mean > 0
@@ -433,9 +441,9 @@ class TestPremiumCompaction:
         tols = (1e-5, 1e-6, 1e-7)
         ref, exit_fraction = _row_by_row_sweep(merton2d_model, payoff, amer, spot, 16_384, 1,
                                                tols, 1)
-        out = premium_sweep(merton2d_model, payoff, amer, 0.0, spot, 0.5, 16_384, seed=1,
-                            exercise_tols=tols)
-        assert out["exit_fraction"] == exit_fraction
+        out, exited = premium_sweep(merton2d_model, amer, spot, 16_384, seed=1,
+                                    exercise_tols=tols)
+        assert exited == exit_fraction
         for tol in tols:
             assert (out[tol].mean, out[tol].stderr) == (ref[tol].mean, ref[tol].stderr), tol
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import binary_erosion
@@ -341,9 +342,9 @@ class TestSolveAmerican:
                     updated.append(np.flatnonzero(np.abs(b).sum(axis=1)))
                 return self.lu.solve(b)
 
-        def recording_splu(matrix, **options):
+        def recording_splu(matrix):
             factorized.append(matrix)
-            return Recorder(splu(matrix, **options))
+            return Recorder(splu(matrix))
 
         monkeypatch.setattr(pide, "splu", recording_splu)
         grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 61, 20, beta=5.0,
@@ -641,8 +642,8 @@ class TestTwoDimensional:
 
     def test_factor_needs_no_pivoting_at_the_guard_bound(self, merton2d_model, min_put_2d):
         # a12 at 0.999 of the mixed-derivative bound: the step matrix rows are
-        # not diagonally dominant, yet the diagonal pivots of `_factor` solve
-        # it as accurately as SuperLU's partial pivoting
+        # not diagonally dominant, yet the diagonal pivots of `splu` solve it
+        # as accurately as SuperLU's partial pivoting
         grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, 151, 10, beta=5.0,
                              trunc_tol=1e-5)
         a = merton2d_model.gaussian.a
@@ -653,8 +654,8 @@ class TestTwoDimensional:
         margin = 2 * matrix.diagonal() - abs(matrix).sum(axis=1).A1  # diagonal minus the rest
         assert margin.min() < -1.0
         b = np.random.default_rng(7).standard_normal(matrix.shape[0])
-        x = pide._factor(matrix).solve(b)
-        ref = pide.splu(matrix).solve(b)
+        x = pide.splu(matrix).solve(b)
+        ref = scipy.sparse.linalg.splu(matrix).solve(b)
         assert np.abs(matrix @ x - b).max() <= 1e-12 * np.abs(b).max()
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 

@@ -61,6 +61,21 @@ class TestPremiumIdentity:
         with pytest.raises(ValueError, match="american solution was solved for"):
             premium_identity(bs_model, payoff, [spot], 1.0, bs_cfg, mc, solutions=(amer, eur))
 
+    def test_solutions_for_another_maturity_rejected(self, bs_model, put_1d, bs_cfg, bs_solves):
+        _, _, amer, eur = bs_solves  # solved with T = 1
+        mc = MCConfig(n_paths=1000, n_steps=bs_cfg.n_time, seed=0)
+        with pytest.raises(ValueError, match="maturity 1, not .* at maturity 0.5"):
+            premium_identity(bs_model, put_1d, [SPOT], 0.5, bs_cfg, mc, solutions=(amer, eur))
+
+    def test_report_records_the_steps_the_sweep_ran(self, zero_rate_model, put_1d,
+                                                   zero_rate_cfg, zero_rate_solves):
+        # the sweep steps on the solution's n_time, whatever the MC config says
+        _, _, amer, eur = zero_rate_solves
+        mc = MCConfig(n_paths=1000, n_steps=zero_rate_cfg.n_time // 2, seed=0)
+        rep = premium_identity(zero_rate_model, put_1d, [SPOT], 1.0, zero_rate_cfg, mc,
+                               solutions=(amer, eur))
+        assert rep.inputs["mc"] == {**mc.to_dict(), "n_steps": amer.grid.n_time}
+
     # merton1d's jump law with r 0.02 and delta 0.08, so early exercise pays
     # on calls; 401 x 100, beta 4, 16,384 paths at seed 1.  Measured gaps:
     # max-call 0.0104 against a tolerance of 0.0320, power product 0.0464
