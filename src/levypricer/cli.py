@@ -145,7 +145,7 @@ def cmd_converge(args) -> int:
     for i, (ns, nt, npaths) in enumerate(levels):
         t0 = time.perf_counter()
         cfg = dataclasses.replace(solver_cfg, n_space=ns, n_time=nt)
-        mc = dataclasses.replace(mc_cfg, n_paths=npaths, n_steps=nt)
+        mc = dataclasses.replace(mc_cfg, n_paths=npaths)
         _, operator, amer, eur = solve_pair(model, payoff, spot, T, cfg)
         report = premium_mod.premium_identity(model, payoff, spot, T, cfg, mc,
                                               solutions=(amer, eur))

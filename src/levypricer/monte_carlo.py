@@ -193,26 +193,27 @@ def price_american_ls(model: LevyModel, payoff: Payoff, s: float, x, T: float,
 # Premium integral
 # --------------------------------------------------------------------------- #
 
-def premium_sweep(model: LevyModel, solution: Solution, x, n_paths: int, seed: int,
-                  exercise_tols: tuple, n_threads: int = 1) -> tuple[dict, float]:
-    """Pathwise premium integral of `solution` for several exercise-band
-    tolerances at once: ({tol: Estimate}, exit fraction).
+def premium_sweep(solution: Solution, x, n_paths: int, seed: int, exercise_tols: tuple,
+                  n_threads: int = 1) -> tuple[dict, float]:
+    """Pathwise premium integral of the American `solution` for several
+    exercise-band tolerances at once: ({tol: Estimate}, exit fraction).
 
-    Paths start at t = 0 from `x` and step on the solution's time grid: step
-    k is read from PIDE level k and discounted by grid.times[k]; paths exiting
-    the lattice stop contributing.  The sampled integrand is the indicator of
-    the u - psi band below (not the solver's stored exercise set), closed-form
-    Psi^- of the solution's payoff and the interpolated jump field.
-    A path point is in the band of `tol` when
+    Paths follow the solution's model from t = 0 at `x` and step on its time
+    grid: step k is read from PIDE level k and discounted by grid.times[k];
+    paths exiting the lattice stop contributing.  The sampled integrand is the
+    indicator of the u - psi band below (not the solver's stored exercise
+    set), closed-form Psi^- of the solution's payoff and the interpolated jump
+    field.  A path point is in the band of `tol` when
     min(interp(u) - psi(x), interp(u - psi)) <= tol (1 + psi(x)): inside a
     cell whose nodes are exercised the second term is 0, where the first is
     the chord of psi less psi, far above tol for psi convex in log price
-    (calls); for concave psi (puts) the first term is the smaller.
-    The bands nest in the tolerance, so the gaps are interpolated only where
-    psi > 0 and Psi^-, the jump field and the payload only inside the widest
-    band.
+    (calls); for concave psi (puts) the first term is the smaller.  The bands
+    nest in the tolerance, so the gaps are interpolated only where psi > 0 and
+    Psi^-, the jump field and the payload only inside the widest band.
     """
-    grid, payoff = solution.grid, solution.payoff
+    if solution.kind != "american":
+        raise ValueError(f"the premium integrates an american solution, not a {solution.kind} one")
+    model, grid, payoff = solution.model, solution.grid, solution.payoff
     dt, times, r = grid.dt, grid.times, model.rates.r
     blocks = simulate_log_blocks(model, np.asarray(x, dtype=float), 0.0, grid.T, grid.n_time,
                                  n_paths, seed, n_threads=n_threads)
@@ -261,15 +262,15 @@ def estimate_premium_mc(model: LevyModel, payoff: Payoff, solution: Solution,
     Averages the discounted integral of 1_{exercise band} 1_{Psi^- > 0}
     (Psi^- - L_I u) along simulated paths; the band, its tolerance and the
     jump field come from the solved American field, which must have been
-    solved for `payoff` and `T`, on `n_steps` time steps.
+    solved for `model`, `payoff` and `T`, on `n_steps` time steps.
     """
     if s != 0.0:
         raise OutOfDomain(f"premium integral starts at s = 0 only (got s = {s:g}); the model "
                           f"is time-homogeneous, so solve with maturity T - s and pass s = 0")
-    solution.check_solved_for(payoff, T)
+    solution.check_solved_for(model, payoff, T)
     if n_steps != solution.grid.n_time:
         raise ValueError("premium time grid must match the PIDE time grid")
     tol = solution.exercise_tol
-    estimates, _ = premium_sweep(model, solution, x, n_paths, seed, exercise_tols=(tol,),
+    estimates, _ = premium_sweep(solution, x, n_paths, seed, exercise_tols=(tol,),
                                  n_threads=n_threads)
     return estimates[tol]

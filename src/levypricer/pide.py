@@ -25,7 +25,7 @@ of it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, PenaltyNonMonotone,
                      QuadratureTailTooHeavy, SchemeNotMonotone)
-from .model import LevyModel, check_spot_and_maturity, corners, real_number, whole_number
+from .model import LevyModel, check_spot_and_maturity, corners, model_to_dict, real_number, whole_number
 from .payoffs import Payoff
 
 if TYPE_CHECKING:
@@ -109,6 +109,10 @@ class Grid:
             raise ValueError("n_space must be odd so the spot is a node")
         if np.any(self.z_min >= self.z_center) or np.any(self.z_center >= self.z_max):
             raise ValueError("need z_min < z_center < z_max on every axis")
+
+    def __eq__(self, other) -> bool:
+        """Field by field: the generated `==` is ambiguous on 2D ndarray fields."""
+        return isinstance(other, Grid) and all(map(np.array_equal, astuple(self), astuple(other)))
 
     @property
     def axes(self) -> tuple:
@@ -285,6 +289,13 @@ class DiscreteOperator:
     @property
     def lam(self) -> float:
         return self.model.jumps.intensity
+
+    def check_assembled_for(self, model: LevyModel, grid: Grid) -> None:
+        """Refuse a caller's model or grid this operator was not assembled for."""
+        if model_to_dict(model) != model_to_dict(self.model):
+            raise ValueError(f"the operator was assembled for the model {model_to_dict(self.model)}")
+        if grid != self.grid:
+            raise ValueError(f"the operator was assembled for the grid {self.grid}, not {grid}")
 
     def convolve(self, extended: np.ndarray) -> np.ndarray:
         """sum_c K[c] u(z + y_c) on the core lattice, from an extended array."""
@@ -515,7 +526,10 @@ def _far_field_tables(operator: DiscreteOperator, payoff: Payoff, american: bool
 
 @dataclass
 class Solution:
+    """A solved field with the model, payoff and grid it was solved for."""
+
     grid: Grid
+    model: LevyModel
     kind: str                       # "european" | "american"
     payoff: Payoff
     values: np.ndarray              # (n_time + 1, *shape)
@@ -529,8 +543,10 @@ class Solution:
     def value_at_spot(self) -> float:
         return float(self.values[(0, *self.grid.center_index)])
 
-    def check_solved_for(self, payoff: Payoff, T: float) -> None:
-        """Refuse a caller's payoff or maturity this solution was not solved for."""
+    def check_solved_for(self, model: LevyModel, payoff: Payoff, T: float) -> None:
+        """Refuse a caller's model, payoff or maturity this solution was not solved for."""
+        if model_to_dict(model) != model_to_dict(self.model):
+            raise ValueError(f"the {self.kind} solution was solved for the model {model_to_dict(self.model)}")
         if self.payoff.to_dict() != payoff.to_dict() or abs(T - self.grid.T) > 1e-12:
             raise ValueError(f"the {self.kind} solution was solved for {self.payoff.to_dict()} "
                              f"at maturity {self.grid.T:g}, not {payoff.to_dict()} at maturity {T:g}")
@@ -659,6 +675,8 @@ def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
                    operator: DiscreteOperator) -> Solution:
     """Backward IMEX sweep for the Cauchy problem (no obstacle): per level
     one solve with the operator's step factor, then the discount."""
+    operator.check_assembled_for(model, grid)
+    grid = operator.grid
     psi = payoff.evaluate(np.exp(grid.mesh()))
     far_field = _far_field_tables(operator, payoff, american=False)
     values = np.empty((grid.n_time + 1, *grid.shape))
@@ -667,8 +685,8 @@ def solve_european(model: LevyModel, payoff: Payoff, grid: Grid,
     for k in range(grid.n_time - 1, -1, -1):
         rhs = _right_hand_side(operator, values, conv, far_field, k)
         values[k] = (operator.disc * operator.step_lu.solve(rhs)).reshape(grid.shape)
-    return Solution(grid=grid, kind="european", payoff=payoff, values=values,
-                    obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
+    return Solution(grid=grid, model=operator.model, kind="european", payoff=payoff,
+                    values=values, obstacle=psi, exercise_set=np.zeros_like(values, dtype=bool),
                     jump_field=_jump_field(operator, values, conv, far_field[1]),
                     metadata={"stencil_mass_defect": operator.raw_mass_defect})
 
@@ -690,6 +708,8 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     ladder = tuple(float(v) for v in penalty)
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"penalty_ladder must be nonempty and strictly increasing, got {list(ladder)}")
+    operator.check_assembled_for(model, grid)
+    grid = operator.grid
     psi = payoff.evaluate(np.exp(grid.mesh()))
     far_field = _far_field_tables(operator, payoff, american=True)
     prev = None
@@ -719,8 +739,8 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
             "newton_solves": solves, "factorizations": factorizations,
             "update_columns": columns,
             "stencil_mass_defect": operator.raw_mass_defect}
-    return Solution(grid=grid, kind="american", payoff=payoff, values=prev,
-                    obstacle=psi, exercise_set=exercise,
+    return Solution(grid=grid, model=operator.model, kind="american", payoff=payoff,
+                    values=prev, obstacle=psi, exercise_set=exercise,
                     jump_field=_jump_field(operator, prev, conv, far_field[1]),
                     penalty_source=source,
                     exercise_tol=exercise_tol, metadata=meta)
@@ -799,13 +819,12 @@ def complementarity_residual(solution: Solution, operator: DiscreteOperator,
     band around the exercise-set boundary; and levels with
     tau < `_TERMINAL_BUFFER` * T, where no scheme is in its asymptotic regime yet.
     """
-    grid = solution.grid
-    u = solution.values
-    psi = solution.obstacle
-    r = operator.model.rates.r
-    dt = grid.dt
-    a_max = float(np.diag(operator.model.gaussian.a).max())
-    margin = payoff.kink_margin_log(grid.mesh())
+    operator.check_assembled_for(solution.model, solution.grid)
+    solution.check_solved_for(solution.model, payoff, solution.grid.T)
+    model, grid, u, psi = solution.model, solution.grid, solution.values, solution.obstacle
+    r, dt = model.rates.r, grid.dt
+    a_max = float(np.diag(model.gaussian.a).max())
+    margin = solution.payoff.kink_margin_log(grid.mesh())
     field = np.full((grid.n_time - 1, *grid.shape), np.nan)
     american = solution.kind == "american"
     for k in range(1, grid.n_time):

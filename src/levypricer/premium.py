@@ -66,29 +66,28 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
                      solutions: tuple[Solution, Solution]) -> PremiumReport:
     """Assemble the report from solved (american, european) `solutions`.
 
-    Refuses inadmissible models (`check_admissible`), and `solutions` solved
-    for another payoff, maturity or spot.  The identity gap is
+    Refuses `solutions` solved for another model, payoff, maturity or spot,
+    and inadmissible models (`check_admissible`).  The identity gap is
     |american - european - premium| at the solver's exercise tolerance; the
     sensitivity map re-evaluates the Monte Carlo premium for the band
     tolerances 1e-5, 1e-6, 1e-7 from the same paths, which step on the
     American solution's time grid: its `n_time` is the recorded MC `n_steps`.
     """
-    check_admissible(model, payoff, solver_cfg)
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     american, european = solutions
     if american.kind != "american" or european.kind != "european":
         raise ValueError("expected (american, european) solutions")
     for sol in solutions:
-        sol.check_solved_for(payoff, T)
+        sol.check_solved_for(model, payoff, T)
         if not np.array_equal(sol.grid.z_center, np.log(spot)):
             raise ValueError(f"the {sol.kind} solution was solved for spot "
                              f"{np.exp(sol.grid.z_center).tolist()}, not {spot.tolist()}")
+    check_admissible(american.model, american.payoff, solver_cfg)
 
     base_tol = american.exercise_tol
     tols = tuple(sorted(set(SENSITIVITY_TOLS) | {base_tol}, reverse=True))
-    estimates, exit_fraction = premium_sweep(model, american, spot, mc_cfg.n_paths,
-                                             mc_cfg.seed, exercise_tols=tols,
-                                             n_threads=mc_cfg.n_threads)
+    estimates, exit_fraction = premium_sweep(american, spot, mc_cfg.n_paths, mc_cfg.seed,
+                                             exercise_tols=tols, n_threads=mc_cfg.n_threads)
     amer = american.value_at_spot()
     eur = european.value_at_spot()
     premium = estimates[base_tol]
@@ -98,9 +97,9 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
     spread = max(sensitivity.values()) - min(sensitivity.values())
     sensitive = spread >= tolerance
     passed = gap <= tolerance and not sensitive
-    inputs = {"spot": spot.tolist(), "T": T, "solver": solver_cfg.to_dict(),
+    inputs = {"spot": spot.tolist(), "T": american.grid.T, "solver": solver_cfg.to_dict(),
               "mc": {**mc_cfg.to_dict(), "n_steps": american.grid.n_time},
-              "payoff": payoff.to_dict()}
+              "payoff": american.payoff.to_dict()}
     return PremiumReport(american_pide=amer, european_pide=eur, premium_mc=premium,
                          identity_gap=gap, tolerance=tolerance, passed=passed,
                          sensitivity=sensitivity, tolerance_sensitive=sensitive,
@@ -114,10 +113,11 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
 def boundary_curve(solution: Solution, payoff: Payoff) -> np.ndarray:
     """Rows (t, boundary_price) per time level: the largest exercised price for
     puts, the smallest for calls; NaN where the region is empty."""
+    solution.check_solved_for(solution.model, payoff, solution.grid.T)
     grid = solution.grid
     if grid.dim != 1:
         raise ValueError(f"boundary_curve needs a 1D solution, got dim {grid.dim}")
     prices = np.exp(grid.axes[0])
-    reduce, empty = (np.max, -np.inf) if payoff.is_put else (np.min, np.inf)
+    reduce, empty = (np.max, -np.inf) if solution.payoff.is_put else (np.min, np.inf)
     bound = reduce(np.where(solution.exercise_set, prices, empty), axis=1)
     return np.column_stack([grid.times, np.where(solution.exercise_set.any(axis=1), bound, np.nan)])

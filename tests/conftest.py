@@ -127,6 +127,13 @@ def zero_rate_solves(zero_rate_model, put_1d, zero_rate_cfg):
 
 
 @pytest.fixture(scope="session")
+def bs_small_solves(bs_model, put_1d):
+    """bs1d put on 201 x 40 (beta 5, trunc_tol 1e-5), where American - European is 0.5059."""
+    cfg = SolverConfig(n_space=201, n_time=40, beta=5.0, trunc_tol=1e-5)
+    return lp.solve_pair(bs_model, put_1d, [SPOT], 1.0, cfg)
+
+
+@pytest.fixture(scope="session")
 def mc_cfg():
     return MCConfig(n_paths=100_000, n_steps=50, seed=20240901)
 

@@ -196,7 +196,7 @@ class TestPremiumEstimator:
         grid = lp.build_grid(model, payoff, [SPOT], 1.0, 51, 10, beta=4.0, trunc_tol=1e-5)
         psi = payoff.evaluate(np.exp(grid.mesh()))
         values = np.repeat(psi[None], grid.n_time + 1, axis=0)
-        sol = lp.Solution(grid=grid, kind="american", payoff=payoff, values=values,
+        sol = lp.Solution(grid=grid, model=model, kind="american", payoff=payoff, values=values,
                           obstacle=psi, exercise_set=values > 0,
                           jump_field=np.zeros_like(values))
         tol = 1e-6
@@ -206,7 +206,7 @@ class TestPremiumEstimator:
         psi_mid = payoff.evaluate(np.exp(mid))[0]
         assert interp_level(values, grid, 0, mid)[0] - psi_mid > 1e3 * tol * (1.0 + psi_mid)
         assert interp_level(values - psi, grid, 0, mid)[0] == 0.0
-        out, exit_fraction = premium_sweep(model, sol, [SPOT], 4000, seed=3, exercise_tols=(tol,))
+        out, exit_fraction = premium_sweep(sol, [SPOT], 4000, seed=3, exercise_tols=(tol,))
         want = np.zeros(4000)
         for lo, block in simulate_log_blocks(model, np.array([SPOT]), 0.0, 1.0, grid.n_time,
                                              4000, 3):
@@ -241,6 +241,22 @@ class TestPremiumEstimator:
             estimate_premium_mc(bs_model, payoff, amer, 0.0, [SPOT], T,
                                 1000, grid.n_time, seed=0)
 
+    def test_solution_for_another_model_rejected(self, bs_small_solves, merton_model, put_1d):
+        # a Black-Scholes solution integrated along Merton paths returned
+        # 0.5335 +- 0.0066 (20,000 paths, seed 1) with no error
+        grid, _, amer, _ = bs_small_solves
+        with pytest.raises(ValueError, match="american solution was solved for the model"):
+            estimate_premium_mc(merton_model, put_1d, amer, 0.0, [SPOT], 1.0,
+                                20_000, grid.n_time, seed=1)
+
+    def test_european_solution_rejected(self, bs_small_solves, bs_model, put_1d):
+        # European u < psi in the money put every path point in the band:
+        # 0.8964 +- 0.0089 (20,000 paths, seed 1) against A - E 0.5059
+        grid, _, _, eur = bs_small_solves
+        with pytest.raises(ValueError, match="not a european one"):
+            estimate_premium_mc(bs_model, put_1d, eur, 0.0, [SPOT], 1.0,
+                                20_000, grid.n_time, seed=1)
+
     def test_grid_coverage_guard(self, bs_model, put_1d):
         # deliberately narrow lattice: most paths leave it
         grid = Grid(dim=1, T=1.0, n_space=51, n_time=20,
@@ -254,7 +270,7 @@ class TestPremiumEstimator:
 
     def test_sweep_tolerance_keys(self, bs_solves, bs_model, put_1d):
         grid, _, amer, _ = bs_solves
-        out, exit_fraction = premium_sweep(bs_model, amer, [SPOT], 10_000, seed=54,
+        out, exit_fraction = premium_sweep(amer, [SPOT], 10_000, seed=54,
                                            exercise_tols=(1e-5, 1e-6))
         assert set(out) == {1e-5, 1e-6} and exit_fraction == 0.0
         assert out[1e-5].mean >= out[1e-6].mean - 1e-12  # wider band, larger set
@@ -401,7 +417,7 @@ class TestPremiumCompaction:
         ref, exit_fraction = _row_by_row_sweep(model, payoff, amer, spot, 4000, 61, tols,
                                                n_threads)
         # a repeated tolerance must not be accumulated twice
-        out, exited = premium_sweep(model, amer, spot, 4000, seed=61,
+        out, exited = premium_sweep(amer, spot, 4000, seed=61,
                                     exercise_tols=tols + (1e-6,), n_threads=n_threads)
         assert exited == exit_fraction
         for tol in tols:
@@ -441,8 +457,7 @@ class TestPremiumCompaction:
         tols = (1e-5, 1e-6, 1e-7)
         ref, exit_fraction = _row_by_row_sweep(merton2d_model, payoff, amer, spot, 16_384, 1,
                                                tols, 1)
-        out, exited = premium_sweep(merton2d_model, amer, spot, 16_384, seed=1,
-                                    exercise_tols=tols)
+        out, exited = premium_sweep(amer, spot, 16_384, seed=1, exercise_tols=tols)
         assert exited == exit_fraction
         for tol in tols:
             assert (out[tol].mean, out[tol].stderr) == (ref[tol].mean, ref[tol].stderr), tol

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (apply_jump_operator, beg_two_asset, bs_put, crr_american_pu
 from test_payoff_properties import catalog
 
 SPOT = 100.0
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 class TestBuildGrid:
@@ -26,6 +28,19 @@ class TestBuildGrid:
         want = np.log(1e8) / 2.0 + allowance
         assert (grid.z_max[0] - grid.z_center[0]) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(9.21 + 1.03, abs=0.01)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grids_compare_by_value(self, bs_model, merton2d_model, put_1d, min_put_2d, dim):
+        # the generated == raised "truth value ... is ambiguous" on every 2D grid
+        model, payoff = (bs_model, put_1d) if dim == 1 else (merton2d_model, min_put_2d)
+
+        def build(spot=SPOT, n_time=20):
+            return lp.build_grid(model, payoff, [spot] * dim, 0.5, 51, n_time, beta=5.0,
+                                 trunc_tol=1e-5)
+
+        assert build() == build()
+        assert build() != build(spot=90.0)
+        assert build() != build(n_time=40)
 
     def test_spot_is_center_node(self, bs_model, put_1d):
         grid = lp.build_grid(bs_model, put_1d, [SPOT], 1.0, 801, 400, beta=2.0)
@@ -392,6 +407,45 @@ class TestSolveAmerican:
         assert worst <= 0.0
 
 
+class TestOwnedCopies:
+    """The operator owns its model and grid, the solution its model, payoff
+    and grid: a copy handed in that differs from the owner's raises."""
+
+    def test_european_for_another_model_rejected(self, bs_small_solves, merton_model, put_1d):
+        # a Merton model on the Black-Scholes operator returned 5.5264, the
+        # Black-Scholes price
+        grid, op, _, _ = bs_small_solves
+        with pytest.raises(ValueError, match="operator was assembled for the model"):
+            lp.solve_european(merton_model, put_1d, grid, op)
+
+    def test_american_on_another_grid_rejected(self, bs_small_solves, bs_model, put_1d):
+        # a grid centred at 90 on the operator built at 100 returned 11.4568
+        _, op, _, _ = bs_small_solves
+        grid90 = lp.build_grid(bs_model, put_1d, [90.0], 1.0, 201, 40, beta=5.0, trunc_tol=1e-5)
+        with pytest.raises(ValueError, match="operator was assembled for the grid"):
+            lp.solve_american_penalty(bs_model, put_1d, grid90, op)
+
+    def test_equal_copies_accepted(self, bs_small_solves, put_1d):
+        # a second load of the same spec and a second build_grid call
+        grid, op, _, eur = bs_small_solves
+        model = lp.load_model(CONFIGS / "models" / "bs1d.json")
+        again = lp.build_grid(model, put_1d, [SPOT], 1.0, 201, 40, beta=5.0, trunc_tol=1e-5)
+        assert model is not op.model and again is not grid
+        assert np.array_equal(lp.solve_european(model, put_1d, again, op).values, eur.values)
+
+    def test_residual_for_another_payoff_rejected(self, bs_small_solves):
+        # the K = 100 put solution read as K = 110 returned 2.70e-5; its own
+        # residual is 8.69e-4
+        _, op, amer, _ = bs_small_solves
+        with pytest.raises(ValueError, match="american solution was solved for"):
+            lp.complementarity_residual(amer, op, lp.Payoff.min_put(110.0, 1))
+
+    def test_residual_on_another_operator_rejected(self, bs_small_solves, merton_model):
+        grid, _, amer, _ = bs_small_solves
+        with pytest.raises(ValueError, match="operator was assembled for the model"):
+            lp.complementarity_residual(amer, lp.assemble(merton_model, grid), amer.payoff)
+
+
 class TestFarFieldTables:
     @pytest.mark.parametrize("payoff", catalog(1) + catalog(2),
                              ids=lambda p: f"{p.kind}-{p.dim}d")
@@ -505,14 +559,14 @@ def _reference_residual(solution, op, payoff, kink_layers=3, terminal_buffer=0.0
 class TestJumpOperator:
     def test_zero_on_constants(self, merton_solves, merton_model, put_1d):
         grid, op, amer, _ = merton_solves
-        sol = lp.Solution(grid=grid, kind="european", payoff=put_1d,
+        sol = lp.Solution(grid=grid, model=merton_model, kind="european", payoff=put_1d,
                           values=np.ones((grid.n_time + 1, *grid.shape)),
                           obstacle=amer.obstacle,
                           exercise_set=np.zeros((grid.n_time + 1, *grid.shape), bool),
                           jump_field=np.zeros((grid.n_time + 1, *grid.shape)))
         # constant far field: override with constant payoff solution instead
         const = lp.Payoff.constant(1.0, 1)
-        sol = lp.Solution(grid=grid, kind="european", payoff=const,
+        sol = lp.Solution(grid=grid, model=merton_model, kind="european", payoff=const,
                           values=sol.values, obstacle=np.ones(grid.shape),
                           exercise_set=sol.exercise_set, jump_field=sol.jump_field)
         field = apply_jump_operator(sol, op, grid.n_time)
@@ -532,7 +586,7 @@ class TestJumpOperator:
         n_levels = grid.n_time + 1
         prices = np.exp(grid.axes[0])
         vals = np.tile(prices, (n_levels, 1))
-        sol = lp.Solution(grid=grid, kind="european", payoff=ident, values=vals,
+        sol = lp.Solution(grid=grid, model=model, kind="european", payoff=ident, values=vals,
                           obstacle=prices,
                           exercise_set=np.zeros((n_levels, *grid.shape), bool),
                           jump_field=np.zeros((n_levels, *grid.shape)))

@@ -67,6 +67,14 @@ class TestPremiumIdentity:
         with pytest.raises(ValueError, match="maturity 1, not .* at maturity 0.5"):
             premium_identity(bs_model, put_1d, [SPOT], 0.5, bs_cfg, mc, solutions=(amer, eur))
 
+    def test_solutions_for_another_model_rejected(self, bs_small_solves, merton_model, put_1d):
+        # Black-Scholes solutions reported on Merton paths passed, gap 0.0276
+        _, _, amer, eur = bs_small_solves
+        cfg = SolverConfig(n_space=201, n_time=40, beta=5.0, trunc_tol=1e-5)
+        with pytest.raises(ValueError, match="american solution was solved for the model"):
+            premium_identity(merton_model, put_1d, [SPOT], 1.0, cfg,
+                             MCConfig(n_paths=20_000, seed=1), solutions=(amer, eur))
+
     def test_report_records_the_steps_the_sweep_ran(self, zero_rate_model, put_1d,
                                                    zero_rate_cfg, zero_rate_solves):
         # the sweep steps on the solution's n_time, whatever the MC config says
@@ -131,6 +139,13 @@ class TestExerciseRegion:
         _, _, amer, _ = minput2d_solves
         with pytest.raises(ValueError, match="1D solution"):
             boundary_curve(amer, min_put_2d)
+
+    def test_boundary_curve_for_another_payoff_rejected(self, bs_small_solves):
+        # the put's set read as a call's returned 3.69 at t = 0; the put's
+        # boundary there is 81.88
+        _, _, amer, _ = bs_small_solves
+        with pytest.raises(ValueError, match="american solution was solved for"):
+            boundary_curve(amer, lp.Payoff.max_call(100.0, 1))
 
     def test_boundary_curve_monotone(self, bs_solves, put_1d):
         _, _, amer, _ = bs_solves
