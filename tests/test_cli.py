@@ -120,6 +120,19 @@ class TestPrice:
         assert code == 1
         assert "n_time >= 31" in capsys.readouterr().err
 
+    def test_cut_jump_tail_is_a_domain_error(self, small_setup, capsys):
+        # the stencil cut at tail mass 0.1 misses 0.99% of lambda, rescaled with exit 0 before
+        model, payoff, _, _, out = small_setup
+        solver = _write(out.parent, "cut.json", {"n_space": 201, "n_time": 40, "beta": 4.0,
+                                                 "y_max_tail": 0.1})
+        code = main(["price", "--model", model, "--payoff", payoff, "--spot", "100",
+                     "--T", "1.0", "--method", "pide", "--solver-config", solver])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: jump stencil misses")
+        assert "y_max_tail 0.1; lower y_max_tail or raise n_space" in lines[0]
+
     def test_misspelled_mc_key_is_a_usage_error(self, small_setup, capsys):
         model, payoff, solver, _, out = small_setup
         mc = _write(out.parent, "typo.json", {"n_path": 2000, "n_steps": 10})

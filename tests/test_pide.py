@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +152,17 @@ class TestAssemble:
         model = _drift_model(0.125, 0.0, tiny)
         assert lp.assemble(model, grid_of(model)).stencil.sum() > 0
 
+    @pytest.mark.parametrize("name, missed", [("merton_model", "0.0154"), ("kou_model", "0.045")])
+    def test_cut_jump_tail_is_refused(self, name, missed, put_1d, request):
+        # rescaled to lambda before: the merton1d American moved 6.3072 -> 6.2781
+        model = request.getfixturevalue(name)
+        grid = lp.build_grid(model, put_1d, [SPOT], 1.0, 401, 100, beta=2.0, trunc_tol=1e-5,
+                             y_max_tail=0.1)
+        with pytest.raises(lp.QuadratureTailTooHeavy,
+                           match=rf"misses {missed} of the jump mass .*y_max_tail 0.1; "
+                                 r"lower y_max_tail or raise n_space"):
+            lp.assemble(model, grid, 0.1)
+
     def test_explicit_jump_cfl_guard(self, put_1d):
         jumps = lp.JumpSpec(30.0, lp.MertonNormal(mean=[0.0], cov=[[0.01]]))
         model = lp.LevyModel(lp.GaussianPart(a=[[0.04]]), jumps,
@@ -249,6 +262,55 @@ class TestSolveAmerican:
             values[n_pen] = sol.values
         assert (values[1e3] - values[1e2]).min() > -1e-8
         assert (values[1e4] - values[1e3]).min() > -1e-8
+
+    def test_ladder_decrease_is_refused(self, bs_small_solves, bs_model, put_1d, monkeypatch):
+        grid, op, _, _ = bs_small_solves
+        sweep = pide._penalty_sweep
+
+        def lowered(operator, psi, far_field, n_pen):
+            values, *rest = sweep(operator, psi, far_field, n_pen)
+            if n_pen == 1e3:
+                values[5, 0] -= 1e-6  # a boundary node: the far field, equal on every rung
+            return (values, *rest)
+
+        monkeypatch.setattr(pide, "_penalty_sweep", lowered)
+        with pytest.raises(lp.PenaltyNonMonotone, match=r"decreased by 1e-06 from n=100 to n=1000$"):
+            lp.solve_american_penalty(bs_model, put_1d, grid, op)
+
+    def test_newton_cap_is_refused(self, bs_small_solves, bs_model, put_1d, monkeypatch):
+        grid, op, _, _ = bs_small_solves
+        monkeypatch.setattr(pide, "_NEWTON_CAP", 1)
+        # the first level solved, k = n_time - 1, activates the in-the-money nodes
+        with pytest.raises(lp.NewtonStall, match=rf"exceeded 1 at level {grid.n_time - 1}$"):
+            lp.solve_american_penalty(bs_model, put_1d, grid, op)
+
+    @pytest.mark.parametrize("solves", ["bs_solves", "minput2d_solves"])
+    def test_exercise_set_is_the_source_rule(self, solves, request):
+        _, _, amer, _ = request.getfixturevalue(solves)
+        psi, ladder = amer.obstacle, amer.metadata["penalty_ladder"]
+        assert ladder[-1] == 1e4
+        want = (psi > amer.exercise_tol) & (amer.penalty_source > 1e4 * 1e-10 * (1.0 + psi))
+        want[-1] = psi > 0
+        assert want[:-1].any() and np.array_equal(amer.exercise_set, want)
+
+    def test_each_rung_is_released_before_the_next(self, bs_small_solves, bs_model, put_1d,
+                                                    monkeypatch):
+        # weak references only: a rung's source and convolutions are released
+        # before the next rung is swept
+        grid, op, _, _ = bs_small_solves
+        sweep, refs, alive = pide._penalty_sweep, [], []
+
+        def tracked(*args):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            result = sweep(*args)
+            refs[:] = [weakref.ref(result[1]), weakref.ref(result[2])]
+            return result
+
+        monkeypatch.setattr(pide, "_penalty_sweep", tracked)
+        amer = lp.solve_american_penalty(bs_model, put_1d, grid, op)
+        assert alive == [[], [False, False], [False, False]]
+        assert refs[0]() is amer.penalty_source and refs[1]() is amer.jump_field
 
     def test_newton_counters_per_rung(self, bs_solves):
         grid, _, amer, _ = bs_solves
@@ -742,6 +804,15 @@ class TestTwoDimensional:
         assert op.stencil.sum() == pytest.approx(0.1, rel=1e-14)
         assert op.raw_mass_defect < 1e-3 * 0.1  # 4.5e-7 measured
         assert amer.value_at_spot() >= eur.value_at_spot() >= 0  # 6.8615 >= 6.7150
+
+    def test_coarse_correlated_jump_stencil_is_refused(self, merton2d_model, min_put_2d):
+        # jump correlation 0.9: the 51^2 cell masses miss 0.134 of lambda, rescaled before
+        law = lp.MertonNormal(mean=[-0.05, -0.05], cov=[[0.01, 0.009], [0.009, 0.01]])
+        model = lp.LevyModel(merton2d_model.gaussian, lp.JumpSpec(0.1, law), merton2d_model.rates)
+        grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 0.5, 51, 10, beta=5.0,
+                             trunc_tol=1e-5)
+        with pytest.raises(lp.QuadratureTailTooHeavy, match=r"misses 0.134 of the jump mass"):
+            lp.assemble(model, grid)
 
     @pytest.mark.parametrize("payoff, errors", [
         (lp.Payoff.min_put(100.0, 2), (-0.5795, -0.1901, -0.0944)),
