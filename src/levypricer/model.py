@@ -14,7 +14,7 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, reduce
 
 import numpy as np
@@ -417,13 +417,7 @@ class ValidationReport:
         return all(c.holds for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "exponent": c.exponent, "status": c.status, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 def _exp_condition(jumps: JumpSpec, exponents: tuple) -> tuple[str, str]:

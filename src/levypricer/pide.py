@@ -62,8 +62,10 @@ class SolverConfig:
         ladder = self.penalty_ladder
         if not isinstance(ladder, (list, tuple)):
             raise ValueError(f"penalty_ladder must be a list of penalties, got {ladder!r}")
-        object.__setattr__(self, "penalty_ladder",
-                           tuple(real_number(v, "penalty_ladder entry", 0.0) for v in ladder))
+        ladder = tuple(real_number(v, "penalty_ladder entry", 0.0) for v in ladder)
+        if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ValueError(f"penalty_ladder must be nonempty and strictly increasing, got {list(ladder)}")
+        object.__setattr__(self, "penalty_ladder", ladder)
         for key, lower, upper in (("beta", -np.inf, np.inf), ("trunc_tol", 0.0, 1.0),
                                   ("y_max_tail", 0.0, 1.0), ("exercise_tol", 0.0, np.inf)):
             object.__setattr__(self, key, real_number(getattr(self, key), key, lower, upper))
@@ -154,25 +156,31 @@ class Grid:
         return np.stack(grids, axis=-1)
 
 
+def check_beta(beta: float, payoff: Payoff) -> None:
+    """Refuse beta <= p, the payoff's growth exponent: the terminal data is then
+    not square-integrable under the e^{-beta |z|} weight, nor the truncation justified."""
+    p = payoff.growth_exponent()
+    if beta <= p:
+        raise BetaTooSmall(f"beta = {beta} must exceed the growth exponent p = {p}")
+
+
 def build_grid(model: LevyModel, payoff: Payoff, spot, T: float, n_space: int,
                n_time: int, beta: float, trunc_tol: float = SolverConfig.trunc_tol,
                y_max_tail: float = SolverConfig.y_max_tail) -> Grid:
     """Center the lattice at ln(spot) with an exponentially-negligible far field.
 
     Half-width = ln(1/trunc_tol)/beta plus a drift-and-diffusion allowance
-    max(|b| T + 5 sqrt(a_max T), y_max).  beta must dominate the payoff growth
-    exponent, otherwise the terminal data is not square-integrable under the
-    e^{-beta |z|} weight and the truncation is unjustified.
+    max(|b| T + 5 sqrt(a_max T), y_max).  The settings are checked by the
+    `SolverConfig` they describe, and beta by `check_beta`.
     """
-    p = payoff.growth_exponent()
-    if beta <= p:
-        raise BetaTooSmall(f"beta = {beta} must exceed the growth exponent p = {p}")
+    cfg = SolverConfig(beta=beta, trunc_tol=trunc_tol, y_max_tail=y_max_tail)
+    check_beta(cfg.beta, payoff)
     n_space, n_time = whole_number(n_space, "n_space", 51), whole_number(n_time, "n_time", 10)
     spot = check_spot_and_maturity(model, spot, T)
-    y_max = model.jumps.radius(y_max_tail, model.dim)
+    y_max = model.jumps.radius(cfg.y_max_tail, model.dim)
     a_max = float(np.diag(model.gaussian.a).max())
     b_max = float(np.abs(model.log_drift).max())
-    width = np.log(1.0 / trunc_tol) / beta + max(b_max * T + 5.0 * np.sqrt(a_max * T), y_max)
+    width = np.log(1.0 / cfg.trunc_tol) / cfg.beta + max(b_max * T + 5.0 * np.sqrt(a_max * T), y_max)
     center = np.log(spot)
     return Grid(dim=model.dim, T=T, n_space=n_space, n_time=n_time,
                 z_min=center - width, z_max=center + width, z_center=center)
@@ -350,14 +358,12 @@ class DiscreteOperator:
         The rate term is not in the matrix: r I commutes with the generator,
         so discounting is applied as an exact e^{-r dt} factor after each step.
         """
-        interior = self.grid.interior.ravel()
+        diagonal = np.where(self.grid.interior.ravel(), 1.0 / self.grid.dt, 1.0)
         if self.grid.dim == 1:  # 0.0 - x: a zero entry stays +0.0
-            return Tridiagonal(0.0 - self.local.lower,
-                               np.where(interior, 1.0 / self.grid.dt - self.local.main, 1.0),
+            return Tridiagonal(0.0 - self.local.lower, diagonal - self.local.main,
                                0.0 - self.local.upper)
         import scipy.sparse as sp
-        a = sp.diags(interior.astype(float)) @ (sp.identity(interior.size) / self.grid.dt - self.local)
-        return (a + sp.diags(self.boundary_mask.astype(float))).tocsc()
+        return (sp.diags(diagonal) - self.local).tocsc()
 
     def penalized_matrix(self, n_pen: float, active: np.ndarray) -> Tridiagonal | sp.csc_matrix:
         """`step_matrix` + n_pen diag(active): the step of a penalized set."""
@@ -427,22 +433,16 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
             f"use lambda = 0 for a model without jumps")
     radius = model.jumps.radius(y_max_tail, model.dim)
     m = tuple(int(np.ceil(radius / dz[i])) for i in range(grid.dim))
-    cover = min(m[i] * dz[i] for i in range(grid.dim))
-    if cover + 1e-12 < radius:
-        raise QuadratureTailTooHeavy(
-            f"stencil radius {cover:.4g} cannot hold the requested tail (needs {radius:.4g})")
     axes = [dz[i] * np.arange(-m[i], m[i] + 1) for i in range(grid.dim)]
     raw = model.jumps.law.cell_masses(axes, dz) * lam
     total = float(raw.sum())
     defect = abs(total - lam)
-    if total <= 0:
-        raise QuadratureTailTooHeavy(
-            f"jump stencil carries no mass: intensity {lam!r} times the jump law's cell masses "
-            f"sums to {total!r}; use lambda = 0 for a model without jumps")
-    if defect > _MASS_DEFECT_MAX * lam:
+    if defect > _MASS_DEFECT_MAX * lam:  # so total > 0 below, else the defect is at least lam
+        # the cut tail holds at most y_max_tail of lam: a larger defect is the cells' quadrature
+        remedy = "raise n_space" if defect > y_max_tail * lam else "lower y_max_tail"
         raise QuadratureTailTooHeavy(
             f"jump stencil misses {defect / lam:.3g} of the jump mass (at most {_MASS_DEFECT_MAX:g}) "
-            f"with y_max_tail {y_max_tail!r}; lower y_max_tail or raise n_space")
+            f"with y_max_tail {y_max_tail!r}; {remedy}")
     stencil = raw * (lam / total)  # row-sum correction: constants must map to zero
     return stencil, m, defect
 
@@ -455,6 +455,7 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_ma
     Raises when the explicit jump term would break the CFL-like bound
     dt * lambda < 1 or the mixed-derivative stencil breaks monotonicity.
     """
+    y_max_tail = SolverConfig(y_max_tail=y_max_tail).y_max_tail
     a = model.gaussian.a
     b = model.log_drift
     lam = model.jumps.intensity
@@ -648,9 +649,9 @@ def _penalty_sweep(operator: DiscreteOperator, psi: np.ndarray, far_field: tuple
                     slot[slot >= 0], cached, base, changed = -1, 0, active, changed[:0]
                 elif new.size:  # one multi-RHS solve for the nodes not cached yet
                     end = cached + new.size
-                    # unit columns e_j, j in new, in the column order SuperLU reads
-                    units = (np.arange(active.size)[:, None] == new).astype(float, order="F")
-                    block[:, cached:end] = lu.solve(units)
+                    block[:, cached:end] = 0.0  # unit columns e_j, j in new, where their solves go
+                    block[new, np.arange(cached, end)] = 1.0
+                    block[:, cached:end] = lu.solve(block[:, cached:end])
                     slot[new], cached, columns = np.arange(cached, end), end, columns + new.size
                 v = lu.solve(rhs + n_pen * active * psi_step)
                 if changed.size:  # capacitance system on the changed nodes
@@ -711,9 +712,8 @@ def solve_american_penalty(model: LevyModel, payoff: Payoff, grid: Grid,
     factorizations and the low-rank update columns solved against them; the
     step matrix is factored once per operator on top of those.
     """
-    ladder = tuple(float(v) for v in penalty)
-    if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"penalty_ladder must be nonempty and strictly increasing, got {list(ladder)}")
+    cfg = SolverConfig(penalty_ladder=penalty, exercise_tol=exercise_tol)
+    ladder, exercise_tol = cfg.penalty_ladder, cfg.exercise_tol
     operator.check_assembled_for(model, grid)
     grid = operator.grid
     psi = payoff.evaluate(np.exp(grid.mesh()))

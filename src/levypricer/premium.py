@@ -16,7 +16,7 @@ from .errors import ModelRejected
 from .model import LevyModel, validate_integrability
 from .monte_carlo import Estimate, MCConfig, premium_sweep
 from .payoffs import Payoff
-from .pide import Solution, SolverConfig
+from .pide import Solution, SolverConfig, build_grid, check_beta
 
 SENSITIVITY_TOLS = (1e-5, 1e-6, 1e-7)
 
@@ -52,8 +52,9 @@ class PremiumReport:
 def check_admissible(model: LevyModel, payoff: Payoff, solver_cfg: SolverConfig) -> None:
     """Refuse a model whose jump law lacks the exponential moments the premium
     identity rests on: p is the payoff's growth exponent, beta the solver's
-    weight exponent and epsilon 0.1.  Raises ModelRejected naming the failed
-    conditions, or ValueError when beta <= p."""
+    weight exponent and epsilon 0.1.  Raises BetaTooSmall when beta <= p
+    (`check_beta`), else ModelRejected naming the failed conditions."""
+    check_beta(solver_cfg.beta, payoff)
     report = validate_integrability(model.jumps, payoff.growth_exponent(),
                                     solver_cfg.beta, epsilon=0.1)
     if not report.ok:
@@ -66,8 +67,8 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
                      solutions: tuple[Solution, Solution]) -> PremiumReport:
     """Assemble the report from solved (american, european) `solutions`.
 
-    Refuses `solutions` solved for another model, payoff, maturity or spot,
-    and inadmissible models (`check_admissible`).  The identity gap is
+    Refuses `solutions` solved for another model, payoff, maturity, spot or
+    `solver_cfg`, and inadmissible models (`check_admissible`).  The identity gap is
     |american - european - premium| at the solver's exercise tolerance; the
     sensitivity map re-evaluates the Monte Carlo premium for the band
     tolerances 1e-5, 1e-6, 1e-7 from the same paths, which step on the
@@ -82,6 +83,11 @@ def premium_identity(model: LevyModel, payoff: Payoff, spot, T: float,
         if not np.array_equal(sol.grid.z_center, np.log(spot)):
             raise ValueError(f"the {sol.kind} solution was solved for spot "
                              f"{np.exp(sol.grid.z_center).tolist()}, not {spot.tolist()}")
+    grid = build_grid(american.model, american.payoff, spot, american.grid.T, solver_cfg.n_space,
+                      solver_cfg.n_time, solver_cfg.beta, solver_cfg.trunc_tol, solver_cfg.y_max_tail)
+    solved = (american.grid, european.grid, american.exercise_tol, tuple(american.metadata["penalty_ladder"]))
+    if (grid, grid, solver_cfg.exercise_tol, solver_cfg.penalty_ladder) != solved:
+        raise ValueError(f"the solutions were not solved with the solver config {solver_cfg.to_dict()}")
     check_admissible(american.model, american.payoff, solver_cfg)
 
     base_tol = american.exercise_tol

@@ -120,6 +120,16 @@ def sparse_operator_1d(model, grid, n_pen, active):
     return local.tocsr(), step, (step + sp.diags(n_pen * active.astype(float))).tocsc()
 
 
+def step_matrix_2d(operator):
+    """The 2D step matrix by the expression `DiscreteOperator.step_matrix`
+    replaced, kept as its reference: the interior rows of `I/dt - local`
+    by a diagonal mask, plus the identity's boundary rows."""
+    import scipy.sparse as sp
+    interior = operator.grid.interior.ravel()
+    a = sp.diags(interior.astype(float)) @ (sp.identity(interior.size) / operator.grid.dt - operator.local)
+    return (a + sp.diags(operator.boundary_mask.astype(float))).tocsc()
+
+
 def direct_step(operator, payoff, upper, k):
     """The European values of level k from those of level k + 1, `upper`,
     built afresh as a reference for the solver's shared step: the jump

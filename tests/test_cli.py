@@ -131,7 +131,7 @@ class TestPrice:
         assert code == 1 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: jump stencil misses")
-        assert "y_max_tail 0.1; lower y_max_tail or raise n_space" in lines[0]
+        assert lines[0].endswith("y_max_tail 0.1; lower y_max_tail")
 
     def test_misspelled_mc_key_is_a_usage_error(self, small_setup, capsys):
         model, payoff, solver, _, out = small_setup
@@ -281,6 +281,19 @@ class TestPrice:
                      "--T", "1.0", "--method", "mc"])
         assert code == 2
         assert "min_put payoff needs key 'K'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["price", "premium", "converge"])
+def test_beta_below_growth_is_one_domain_error(tmp_path, capsys, command):
+    # premium and converge once exited 2 with "need p >= 0, epsilon > 0 and
+    # beta > p" from validate_integrability, price 1 with the message below
+    payoff = _write(tmp_path, "call.json", {"kind": "index_call", "dim": 1, "K": 100.0, "w": [1.0]})
+    solver = _write(tmp_path, "solver.json", {"n_space": 101, "n_time": 20, "beta": 0.5})
+    levels = ["--levels", "101,20,1000;201,40,1000;401,80,1000"] if command == "converge" else []
+    code = main([command, "--model", str(CONFIGS / "models" / "bs1d.json"), "--payoff", payoff,
+                 "--spot", "100", "--T", "1.0", "--solver-config", solver, *levels])
+    assert code == 1
+    assert capsys.readouterr().err == "error: beta = 0.5 must exceed the growth exponent p = 1.0\n"
 
 
 class TestPremiumCommand:

@@ -15,7 +15,7 @@ from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
 from oracles import (apply_jump_operator, beg_two_asset, bs_put, crr_american_put,
                      direct_step, merton_put_series, ndimage_exercise_band, scipy_fft_convolve_valid,
-                     sparse_operator_1d, stulz_two_asset)
+                     sparse_operator_1d, step_matrix_2d, stulz_two_asset)
 from test_payoff_properties import catalog
 
 SPOT = 100.0
@@ -160,7 +160,7 @@ class TestAssemble:
                              y_max_tail=0.1)
         with pytest.raises(lp.QuadratureTailTooHeavy,
                            match=rf"misses {missed} of the jump mass .*y_max_tail 0.1; "
-                                 r"lower y_max_tail or raise n_space"):
+                                 r"lower y_max_tail$"):
             lp.assemble(model, grid, 0.1)
 
     def test_explicit_jump_cfl_guard(self, put_1d):
@@ -748,6 +748,17 @@ class TestTwoDimensional:
         assert grid.axes[0][ci[0]] == pytest.approx(np.log(SPOT), abs=1e-12)
         assert grid.axes[1][ci[1]] == pytest.approx(np.log(SPOT), abs=1e-12)
 
+    @pytest.mark.parametrize("n_space", [51, 61, 151])
+    def test_step_matrix_matches_masked_reference(self, merton2d_model, min_put_2d, n_space):
+        # diag(1/dt on interior, 1 on boundary) - local: the same stored
+        # pattern and values as the masked expression it replaced
+        grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, n_space, 20,
+                             beta=5.0, trunc_tol=1e-5)
+        op = lp.assemble(merton2d_model, grid)
+        step, ref = op.step_matrix, step_matrix_2d(op)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(step, part).tobytes() == getattr(ref, part).tobytes(), part
+
     def test_mixed_term_monotonicity_guard(self, min_put_2d):
         a = [[0.01, 0.02], [0.02, 0.09]]  # positive definite, |a12| > min(a11, a22)
         model = lp.LevyModel(lp.GaussianPart(a=a), lp.JumpSpec(0.0),
@@ -806,12 +817,14 @@ class TestTwoDimensional:
         assert amer.value_at_spot() >= eur.value_at_spot() >= 0  # 6.8615 >= 6.7150
 
     def test_coarse_correlated_jump_stencil_is_refused(self, merton2d_model, min_put_2d):
-        # jump correlation 0.9: the 51^2 cell masses miss 0.134 of lambda, rescaled before
+        # jump correlation 0.9: the 51^2 cell masses miss 0.134 of lambda, rescaled before;
+        # more than the cut tail can hold, so the remedy is a finer grid
         law = lp.MertonNormal(mean=[-0.05, -0.05], cov=[[0.01, 0.009], [0.009, 0.01]])
         model = lp.LevyModel(merton2d_model.gaussian, lp.JumpSpec(0.1, law), merton2d_model.rates)
         grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 0.5, 51, 10, beta=5.0,
                              trunc_tol=1e-5)
-        with pytest.raises(lp.QuadratureTailTooHeavy, match=r"misses 0.134 of the jump mass"):
+        with pytest.raises(lp.QuadratureTailTooHeavy,
+                           match=r"misses 0.134 of the jump mass .*; raise n_space$"):
             lp.assemble(model, grid)
 
     @pytest.mark.parametrize("payoff, errors", [
@@ -963,12 +976,46 @@ def test_solver_config_roundtrip():
 
 @pytest.mark.parametrize("key, value", [
     ("beta", float("nan")), ("trunc_tol", 0.0), ("y_max_tail", 1.0), ("exercise_tol", -1.0),
-    ("penalty_ladder", (1e2, 0.0)), ("penalty_ladder", 1e2)])
+    ("penalty_ladder", (1e2, 0.0)), ("penalty_ladder", 1e2), ("penalty_ladder", []),
+    ("penalty_ladder", [1e3, 1e2])])
 def test_solver_config_built_in_python_checks_ranges(key, value):
     # SolverConfig(beta=nan) once solved to NaN prices and trunc_tol=0 ended
     # in a ZeroDivisionError in build_grid
     with pytest.raises(ValueError, match=key):
         SolverConfig(**{key: value})
+
+
+@pytest.mark.parametrize("call, key, value", [
+    # build_grid on merton1d 201 x 40 (beta 4, trunc_tol 1e-5; half-width 3.96,
+    # American 6.2769): trunc_tol 0 raised ZeroDivisionError, trunc_tol 2 gave
+    # 0.91 and 6.3131, beta inf 1.09 and 6.3123, y_max_tail 0 raised
+    # statistics.StatisticsError and a NaN "cannot convert float NaN to integer"
+    ("build_grid", "trunc_tol", 0.0), ("build_grid", "trunc_tol", 2.0),
+    ("build_grid", "beta", np.inf), ("build_grid", "y_max_tail", 0.0),
+    ("build_grid", "beta", np.nan), ("build_grid", "trunc_tol", np.nan),
+    ("build_grid", "y_max_tail", np.nan), ("assemble", "y_max_tail", np.nan),
+    # solve_american_penalty on bs 201 x 40 (American 6.0323): the ladders
+    # (nan,) and (1e2, nan) returned NaN, (0,) 6.0098 and (-5,) 6.0068; with
+    # exercise_tol NaN no node was exercised before T, and -1 was accepted
+    ("solve_american_penalty", "penalty", (np.nan,)),
+    ("solve_american_penalty", "penalty", (1e2, np.nan)),
+    ("solve_american_penalty", "penalty", (0.0,)), ("solve_american_penalty", "penalty", (-5.0,)),
+    ("solve_american_penalty", "exercise_tol", np.nan),
+    ("solve_american_penalty", "exercise_tol", -1.0)])
+def test_direct_calls_check_solver_settings(merton_model, bs_model, put_1d, bs_small_solves,
+                                            call, key, value):
+    # each call checks the SolverConfig its loose settings describe
+    merton_args = (merton_model, put_1d, [SPOT], 1.0, 201, 40)
+    kwargs = {key: value}
+    if call == "build_grid":
+        args, kwargs = merton_args, {"beta": 4.0, "trunc_tol": 1e-5, **kwargs}
+    elif call == "assemble":
+        args = (merton_model, lp.build_grid(*merton_args, beta=4.0, trunc_tol=1e-5))
+    else:
+        grid, op, _, _ = bs_small_solves
+        args = (bs_model, put_1d, grid, op)
+    with pytest.raises(ValueError, match="penalty_ladder entry" if key == "penalty" else key):
+        getattr(lp, call)(*args, **kwargs)
 
 
 def test_solver_config_rejects_unknown_keys():

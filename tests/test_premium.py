@@ -75,6 +75,35 @@ class TestPremiumIdentity:
             premium_identity(merton_model, put_1d, [SPOT], 1.0, cfg,
                              MCConfig(n_paths=20_000, seed=1), solutions=(amer, eur))
 
+    @pytest.mark.parametrize("changes", [
+        {"n_space": 801, "n_time": 400, "beta": 2.5, "penalty_ladder": (1e5,),
+         "exercise_tol": 1e-3},
+        {"n_space": 401}, {"n_time": 80}, {"beta": 4.0}, {"trunc_tol": 1e-6},
+        {"penalty_ladder": (1e2, 1e4)}, {"exercise_tol": 1e-5}])
+    def test_solutions_for_another_solver_config_rejected(self, bs_model, put_1d, bs_small_solves,
+                                                          monkeypatch, changes):
+        # the first once passed (gap 0.0141, 8,192 paths, seed 3) and wrote its
+        # config into the report's inputs
+        _, _, amer, eur = bs_small_solves  # 201 x 40, beta 5, trunc_tol 1e-5
+        cfg = SolverConfig(**{"n_space": 201, "n_time": 40, "beta": 5.0, "trunc_tol": 1e-5, **changes})
+        sweeps = []
+        monkeypatch.setattr("levypricer.premium.premium_sweep", lambda *a, **k: sweeps.append(a))
+        with pytest.raises(ValueError, match="solutions were not solved with the solver config"):
+            premium_identity(bs_model, put_1d, [SPOT], 1.0, cfg, MCConfig(n_paths=8192, seed=3),
+                             solutions=(amer, eur))
+        assert sweeps == []
+
+    def test_european_on_another_grid_rejected(self, bs_model, put_1d, bs_small_solves):
+        # a European solved on 51 x 10 (beta 2, trunc_tol 1e-2) once gave a
+        # failed report, gap 0.515 against a tolerance of 0.030
+        _, _, amer, _ = bs_small_solves
+        coarse = SolverConfig(n_space=51, n_time=10, beta=2.0, trunc_tol=1e-2)
+        _, _, _, eur = lp.solve_pair(bs_model, put_1d, [SPOT], 1.0, coarse)
+        cfg = SolverConfig(n_space=201, n_time=40, beta=5.0, trunc_tol=1e-5)
+        with pytest.raises(ValueError, match="solutions were not solved with the solver config"):
+            premium_identity(bs_model, put_1d, [SPOT], 1.0, cfg, MCConfig(n_paths=8192, seed=3),
+                             solutions=(amer, eur))
+
     def test_report_records_the_steps_the_sweep_ran(self, zero_rate_model, put_1d,
                                                    zero_rate_cfg, zero_rate_solves):
         # the sweep steps on the solution's n_time, whatever the MC config says
