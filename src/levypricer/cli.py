@@ -20,7 +20,7 @@ import numpy as np
 
 from . import premium as premium_mod
 from .errors import PricingError
-from .model import exp_moment, load_model, model_to_dict, validate_integrability
+from .model import exp_moment, load_model, model_to_dict, read_json, validate_integrability
 from .monte_carlo import MCConfig, price_american_ls, price_european_mc, RegressionBasis
 from .payoffs import load_payoff
 from .pide import SolverConfig, complementarity_residual, export_solution_csv, solve_pair
@@ -35,18 +35,13 @@ def _load_inputs(args):
     model = load_model(args.model)
     payoff = load_payoff(args.payoff)
     spot = np.array([float(v) for v in str(args.spot).split(",")])
-    solver_cfg = SolverConfig.from_dict(_read_json(args.solver_config)) \
+    solver_cfg = SolverConfig.from_dict(read_json(args.solver_config)) \
         if getattr(args, "solver_config", None) else SolverConfig()
-    mc_cfg = MCConfig.from_dict(_read_json(args.mc_config)) \
+    mc_cfg = MCConfig.from_dict(read_json(args.mc_config)) \
         if getattr(args, "mc_config", None) else MCConfig()
     if args.threads is not None:
         mc_cfg = dataclasses.replace(mc_cfg, n_threads=args.threads)
     return model, payoff, spot, solver_cfg, mc_cfg
-
-
-def _read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _emit(summary: dict, out_dir: str | None, name: str) -> None:

@@ -53,6 +53,26 @@ def real_number(value, name: str, lower: float = -np.inf, upper: float = np.inf)
     return float(value)
 
 
+def spec_keys(spec, name: str, required=(), optional=()) -> dict:
+    """`spec` if a JSON object with every `required` key and no key but the `optional`
+    ones, else a ValueError naming `name` and the key: no misspelled key runs silently."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{name} spec must be a JSON object, got {spec!r}")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"{name} spec needs key(s): {', '.join(missing)}")
+    unknown = sorted(set(spec) - {*required, *optional})
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}; "
+                         f"known fields: {', '.join((*required, *optional))}")
+    return spec
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def real_numbers(values, name: str) -> np.ndarray:
     """`values`, a number or a (nested) list or array of them, as a float
     array of its shape whose every entry is a finite `real_number`."""
@@ -447,6 +467,7 @@ def validate_integrability(jumps: JumpSpec, p: float, beta: float, epsilon: floa
     Failures are reported, never raised; downstream pricing refuses models
     whose report contains a failure.
     """
+    p, beta, epsilon = real_number(p, "p"), real_number(beta, "beta"), real_number(epsilon, "epsilon")
     if p < 0 or epsilon <= 0 or beta <= p:
         raise ValueError("need p >= 0, epsilon > 0 and beta > p")
     q_payoff = max(1.0, p) + epsilon
@@ -574,13 +595,16 @@ def simulate_paths(model: LevyModel, s: float, x, T: float, n_steps: int,
 # --------------------------------------------------------------------------- #
 
 def jumps_from_dict(spec: dict) -> JumpSpec:
-    kind = spec.get("kind", "none").lower()
+    """The jumps of a JSON spec: at most "kind" for none, else "kind", "lambda" and the law's fields."""
+    kind = str(spec.get("kind", "none")).lower() if isinstance(spec, dict) else "none"
     if kind == "none":
+        spec_keys(spec, "jumps", optional=("kind",))
         return JumpSpec(intensity=0.0)
     if kind not in JUMP_KINDS:
         raise ValueError(f"unknown jump kind {kind!r}; known kinds: none, {', '.join(JUMP_KINDS)}")
-    law = JUMP_KINDS[kind](**{f.name: spec[f.name] for f in fields(JUMP_KINDS[kind])})
-    return JumpSpec(intensity=spec["lambda"], law=law)
+    names = [f.name for f in fields(JUMP_KINDS[kind])]
+    spec_keys(spec, "jumps", required=("kind", "lambda", *names))
+    return JumpSpec(intensity=spec["lambda"], law=JUMP_KINDS[kind](**{n: spec[n] for n in names}))
 
 
 def jumps_to_dict(jumps: JumpSpec) -> dict:
@@ -592,8 +616,10 @@ def jumps_to_dict(jumps: JumpSpec) -> dict:
 
 
 def model_from_dict(spec: dict) -> LevyModel:
+    """The model of a JSON spec; a `log_drift` (`model_to_dict` writes one) is recalibrated."""
+    spec_keys(spec, "model", required=("dim", "a", "rates"), optional=("jumps", "log_drift"))
     gaussian = GaussianPart(a=spec["a"])
-    rates = Rates(r=spec["rates"]["r"], delta=spec["rates"]["delta"])
+    rates = Rates(**spec_keys(spec["rates"], "rates", required=("r", "delta")))
     jumps = jumps_from_dict(spec.get("jumps", {"kind": "none"}))
     model = LevyModel(gaussian, jumps, rates)
     if model.dim != whole_number(spec["dim"], "dim", 1):
@@ -612,5 +638,4 @@ def model_to_dict(model: LevyModel) -> dict:
 
 
 def load_model(path) -> LevyModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

@@ -12,9 +12,9 @@ from math import comb
 import numpy as np
 
 from .errors import GridCoverageTooSmall, OutOfDomain
-from .model import LevyModel, check_spot_and_maturity, simulate_log_blocks, whole_number
+from .model import LevyModel, check_spot_and_maturity, simulate_log_blocks, spec_keys, whole_number
 from .payoffs import Payoff, _across
-from .pide import Solution, config_fields, interp_level
+from .pide import Solution, interp_level
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +40,7 @@ class MCConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "MCConfig":
-        return cls(**config_fields(cls, spec))
+        return cls(**spec_keys(spec, cls.__name__, optional=cls.__dataclass_fields__))
 
     def to_dict(self) -> dict:
         # no n_threads: estimates are bitwise identical across thread counts,

@@ -9,13 +9,12 @@ against a direct evaluation of the generator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KinkTooClose
-from .model import GaussianPart, Rates, real_numbers, whole_number
+from .model import GaussianPart, Rates, read_json, real_numbers, spec_keys, whole_number
 
 MIN_PUT = "min_put"
 INDEX_PUT = "index_put"
@@ -326,13 +325,10 @@ def _power_rate(payoff: Payoff, rates: Rates, gaussian: GaussianPart, printed: b
 
 def payoff_from_dict(spec: dict) -> Payoff:
     """The payoff of a JSON spec: "kind", "dim" and the kind's keys in `KINDS`."""
-    unknown = sorted(set(spec) - {"kind", "dim", *_FIELDS})
-    if unknown:
-        raise ValueError(f"unknown payoff key(s) {', '.join(unknown)}; known: kind, dim, {', '.join(_FIELDS)}")
+    spec_keys(spec, "payoff", optional=("kind", "dim", *_FIELDS))
     return Payoff(kind=str(spec.get("kind", "")).lower(), dim=spec.get("dim"),
                   **{name: spec.get(key) for key, name in _FIELDS.items()})
 
 
 def load_payoff(path) -> Payoff:
-    with open(path) as fh:
-        return payoff_from_dict(json.load(fh))
+    return payoff_from_dict(read_json(path))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, PenaltyNonMonotone,
                      QuadratureTailTooHeavy, SchemeNotMonotone)
-from .model import LevyModel, check_spot_and_maturity, corners, model_to_dict, real_number, whole_number
+from .model import LevyModel, check_spot_and_maturity, corners, model_to_dict, real_number, spec_keys, whole_number
 from .payoffs import Payoff
 
 if TYPE_CHECKING:
@@ -72,23 +72,10 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SolverConfig":
-        return cls(**config_fields(cls, spec))
+        return cls(**spec_keys(spec, cls.__name__, optional=cls.__dataclass_fields__))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "penalty_ladder": list(self.penalty_ladder)}
-
-
-def config_fields(cls, spec: dict) -> dict:
-    """`spec` as keyword arguments of the config dataclass `cls`.
-
-    An unknown key raises instead of being dropped: a misspelled knob would
-    otherwise run silently with its default.
-    """
-    unknown = sorted(set(spec) - set(cls.__dataclass_fields__))
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}; "
-                         f"known fields: {', '.join(cls.__dataclass_fields__)}")
-    return dict(spec)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Independent pricing oracles used to freeze expected values.
 
 These deliberately avoid the package's own solvers: closed-form
-Black-Scholes, a CRR binomial tree for the American put, and the classic
-Poisson-mixture series for the Merton European put.  The reference path
+Black-Scholes, a CRR binomial tree for the American put, the classic
+Poisson-mixture series for the Merton European put and its Poisson-binomial
+counterpart for a two-atom jump law.  The reference path
 simulator keeps the path-major layout the package's simulator replaced.
 The scipy references of the numpy and stdlib code that replaced them:
 Merton's normal CDF and quantile by `scipy.special`, the 2D jump convolution
 by `scipy.fft` and the residual's masks by `scipy.ndimage`.
 """
+
+import math
 
 import numpy as np
 from scipy.stats import norm
@@ -85,6 +88,22 @@ def merton_put_series(S, K, T, r, lam, jump_mean, jump_std, sigma, n_terms=60):
         r_n = r - lam * k + n * (jump_mean + 0.5 * jump_std ** 2) / T
         sigma_n = np.sqrt(sigma ** 2 + n * jump_std ** 2 / T)
         total += prob * bs_put(S, K, T, r_n, sigma_n)
+    return float(total)
+
+
+def two_atom_put_series(S, K, T, r, q, sigma, lam, up, down, p_up, n_terms=40):
+    """European put under Black-Scholes plus Poisson(lam) jumps of log size
+    `up` (probability `p_up`) or `down`: Black-Scholes puts mixed over the
+    jump count n and the up-jump count k, each at spot
+    S exp(-lam kappa T + k up + (n - k) down)."""
+    kappa = p_up * np.exp(up) + (1.0 - p_up) * np.exp(down) - 1.0
+    total = 0.0
+    for n in range(n_terms):
+        prob_n = np.exp(-lam * T) * (lam * T) ** n / math.factorial(n)
+        for k in range(n + 1):
+            spot = S * np.exp(-lam * kappa * T + up * k + down * (n - k))
+            total += prob_n * math.comb(n, k) * p_up ** k * (1.0 - p_up) ** (n - k) \
+                * bs_put(spot, K, T, r, sigma, q)
     return float(total)
 
 

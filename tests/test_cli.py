@@ -71,6 +71,15 @@ class TestValidate:
     def test_missing_file_usage_error(self):
         assert main(["validate", "--model", "/nonexistent/model.json"]) == 2
 
+    @pytest.mark.parametrize("model, flag, value", [
+        ("kou1d", "--p", "nan"), ("kou1d", "--beta", "nan"), ("kou1d", "--epsilon", "nan"),
+        ("merton1d", "--beta", "inf")])
+    def test_non_finite_flag_usage_error(self, model, flag, value, capsys):
+        # each once printed every condition as holding, "ok": true, with exit 0
+        code = main(["validate", "--model", str(CONFIGS / "models" / f"{model}.json"), flag, value])
+        assert code == 2
+        assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
+
     def test_threads_is_not_an_option(self, capsys):
         # validate simulates nothing; it once accepted --threads and ignored it
         code = main(["validate", "--model", str(CONFIGS / "models" / "bs1d.json"),
@@ -397,6 +406,78 @@ def test_constant_payoff_fixture_both_methods(tmp_path, capsys):
     # a constant claim with r > 0 is exercised immediately: obstacle binds
     # everywhere and the American value is the constant itself
     assert abs(summary["pide"]["american"] - 5.0) < 1e-8
+
+
+def _edit(spec, **keys):
+    """`spec` with `keys` replaced; a key set to None is dropped."""
+    return {k: v for k, v in {**spec, **keys}.items() if v is not None}
+
+
+MERTON1D = json.loads((CONFIGS / "models" / "merton1d.json").read_text())
+MERTON_JUMPS = MERTON1D["jumps"]
+KOU_JUMPS = {"kind": "kou", "lambda": 0.3, "p_up": [0.4], "eta_plus": [10.0], "eta_minus": [5.0]}
+EMPIRICAL_JUMPS = {"kind": "empirical", "lambda": 0.5, "jumps": [[0.1], [-0.08]],
+                   "probs": [0.5, 0.5]}
+# id: (the input files that replace valid ones, words of the error line)
+BAD_INPUTS = {
+    "a-not-square": ({"model": _edit(MERTON1D, a=[[0.04, 0.0]])}, "a must be a square matrix"),
+    "merton-mean-cov-dims": ({"model": _edit(MERTON1D, jumps=_edit(MERTON_JUMPS, mean=[-0.1, 0.0]))},
+                             "mean/cov dimension mismatch"),
+    "merton-cov-not-psd": ({"model": _edit(MERTON1D, jumps=_edit(MERTON_JUMPS, cov=[[-0.01]]))},
+                           "positive semidefinite"),
+    "kou-shapes": ({"model": _edit(MERTON1D, jumps=_edit(KOU_JUMPS, p_up=[0.4, 0.5]))},
+                   "Kou parameter shapes disagree"),
+    "kou-p_up": ({"model": _edit(MERTON1D, jumps=_edit(KOU_JUMPS, p_up=[1.5]))},
+                 "p_up must lie in [0, 1]"),
+    "kou-eta_minus": ({"model": _edit(MERTON1D, jumps=_edit(KOU_JUMPS, eta_minus=[0.0]))},
+                      "eta_minus must be positive"),
+    "empirical-counts": ({"model": _edit(MERTON1D, jumps=_edit(EMPIRICAL_JUMPS, probs=[1.0]))},
+                         "atoms/probabilities length mismatch"),
+    "empirical-negative": ({"model": _edit(MERTON1D, jumps=_edit(EMPIRICAL_JUMPS, probs=[1.5, -0.5]))},
+                           "probabilities must be nonnegative"),
+    "delta-length": ({"model": _edit(MERTON1D, rates={"r": 0.05, "delta": [0.0, 0.0]})},
+                     "component dimensions disagree"),
+    "jump-law-dim": ({"model": _edit(MERTON1D, jumps=_edit(MERTON_JUMPS, mean=[-0.1, -0.1],
+                                                           cov=[[0.0225, 0.0], [0.0, 0.0225]]))},
+                     "jump law dimension disagrees"),
+    "declared-dim": ({"model": _edit(MERTON1D, dim=2)}, "declared dim disagrees"),
+    "three-assets": ({"model": {"dim": 3, "a": [[0.04, 0, 0], [0, 0.04, 0], [0, 0, 0.04]],
+                                "rates": {"r": 0.05, "delta": [0.0] * 3}},
+                      "payoff": {"kind": "min_put", "dim": 3, "K": 100.0}, "spot": "100,100,100"},
+                     "only d = 1 and d = 2 grids are supported"),
+    # each of these priced Black-Scholes, dropped a key or ended in a traceback
+    "jump-misspelled": ({"model": _edit(MERTON1D, jumps=None, jump=MERTON_JUMPS)},
+                        "unknown model key(s): jump;"),
+    "jumps-no-kind": ({"model": _edit(MERTON1D, jumps=_edit(MERTON_JUMPS, kind=None))},
+                      "unknown jumps key(s): cov, lambda, mean;"),
+    "rates-extra": ({"model": _edit(MERTON1D, rates={"r": 0.05, "delta": [0.0], "divs": [0.0]})},
+                    "unknown rates key(s): divs;"),
+    "jumps-extra": ({"model": _edit(MERTON1D, jumps=_edit(MERTON_JUMPS, intensity=0.1))},
+                    "unknown jumps key(s): intensity;"),
+    "model-array": ({"model": [MERTON1D]}, "model spec must be a JSON object"),
+    "rates-number": ({"model": _edit(MERTON1D, rates=5)}, "rates spec must be a JSON object"),
+    "jump-kind-number": ({"model": _edit(MERTON1D, jumps={"kind": 5})}, "unknown jump kind '5'"),
+    "merton-no-mean": ({"model": _edit(MERTON1D, jumps=_edit(MERTON_JUMPS, mean=None))},
+                       "jumps spec needs key(s): mean"),
+    "payoff-array": ({"payoff": [1]}, "payoff spec must be a JSON object"),
+    "solver-array": ({"solver": [1]}, "SolverConfig spec must be a JSON object"),
+    "mc-array": ({"mc": [1]}, "MCConfig spec must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("files, words", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_malformed_spec_is_one_usage_error(tmp_path, capsys, files, words):
+    valid = {"model": MERTON1D, "payoff": {"kind": "min_put", "dim": 1, "K": 100.0},
+             "solver": {"n_space": 101, "n_time": 20, "beta": 4.0, "trunc_tol": 1e-5},
+             "mc": {"n_paths": 1000, "n_steps": 10, "seed": 1}}
+    paths = {name: _write(tmp_path, f"{name}.json", files.get(name, spec))
+             for name, spec in valid.items()}
+    code = main(["price", "--method", "pide", "--model", paths["model"], "--payoff", paths["payoff"],
+                 "--spot", files.get("spot", "100"), "--T", "1.0",
+                 "--solver-config", paths["solver"], "--mc-config", paths["mc"]])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and words in err[0], err
 
 
 def test_unknown_command_usage():

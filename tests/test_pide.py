@@ -15,7 +15,7 @@ from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level
 from oracles import (apply_jump_operator, beg_two_asset, bs_put, crr_american_put,
                      direct_step, merton_put_series, ndimage_exercise_band, scipy_fft_convolve_valid,
-                     sparse_operator_1d, step_matrix_2d, stulz_two_asset)
+                     sparse_operator_1d, step_matrix_2d, stulz_two_asset, two_atom_put_series)
 from test_payoff_properties import catalog
 
 SPOT = 100.0
@@ -193,6 +193,21 @@ class TestSolveEuropean:
         _, _, _, eur = merton_solves
         exact = merton_put_series(SPOT, 100.0, 1.0, 0.05, 0.1, -0.1, 0.15, 0.2)
         assert abs(eur.value_at_spot() - exact) / exact < 1.5e-3
+
+    def test_empirical_against_series(self, put_1d):
+        # the shipped two-atom law: the European approaches the exact series
+        # from below as the grid refines, and the American stays above it
+        model = lp.load_model(CONFIGS / "models" / "empirical1d.json")
+        exact = two_atom_put_series(SPOT, 100.0, 1.0, 0.03, 0.01, 0.2, 0.5, 0.1, -0.08, 0.5)
+        assert abs(exact - 7.252193) < 1e-6
+        errors = []
+        for n_space, n_time in ((201, 50), (401, 100), (801, 200)):
+            cfg = SolverConfig(n_space=n_space, n_time=n_time, beta=4.0, trunc_tol=1e-5)
+            _, _, amer, eur = lp.solve_pair(model, put_1d, [SPOT], 1.0, cfg)
+            assert amer.value_at_spot() > eur.value_at_spot()
+            errors.append(eur.value_at_spot() / exact - 1.0)
+        assert errors[0] < errors[1] < errors[2] < 0  # measured -1.04e-2, -4.34e-3, -1.89e-3
+        assert errors[2] > -2.5e-3
 
     def test_no_exercise_set(self, bs_solves):
         _, _, _, eur = bs_solves
