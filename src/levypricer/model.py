@@ -596,7 +596,10 @@ def simulate_paths(model: LevyModel, s: float, x, T: float, n_steps: int,
 
 def jumps_from_dict(spec: dict) -> JumpSpec:
     """The jumps of a JSON spec: at most "kind" for none, else "kind", "lambda" and the law's fields."""
-    kind = str(spec.get("kind", "none")).lower() if isinstance(spec, dict) else "none"
+    kind = spec.get("kind", "none") if isinstance(spec, dict) else "none"
+    if not isinstance(kind, str):
+        raise ValueError(f"jump kind must be a string, got {kind!r}")
+    kind = kind.lower()
     if kind == "none":
         spec_keys(spec, "jumps", optional=("kind",))
         return JumpSpec(intensity=0.0)

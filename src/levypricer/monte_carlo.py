@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GridCoverageTooSmall, OutOfDomain
 from .model import LevyModel, check_spot_and_maturity, simulate_log_blocks, spec_keys, whole_number
 from .payoffs import Payoff, _across
-from .pide import Solution, interp_level
+from .pide import Solution, interp_level, lattice_cells
 
 log = logging.getLogger(__name__)
 
@@ -209,7 +209,9 @@ def premium_sweep(solution: Solution, x, n_paths: int, seed: int, exercise_tols:
     the chord of psi less psi, far above tol for psi convex in log price
     (calls); for concave psi (puts) the first term is the smaller.  The bands
     nest in the tolerance, so the gaps are interpolated only where psi > 0 and
-    Psi^-, the jump field and the payload only inside the widest band.
+    Psi^-, the jump field and the payload only inside the widest band.  Each
+    step finds the lattice cells of its psi > 0 points once: u and u - psi
+    are read from them, and the jump field from the widest band's rows.
     """
     if solution.kind != "american":
         raise ValueError(f"the premium integrates an american solution, not a {solution.kind} one")
@@ -230,19 +232,20 @@ def premium_sweep(solution: Solution, x, n_paths: int, seed: int, exercise_tols:
             rows = np.flatnonzero(inside)  # block rows; paths lo + rows
             if not rows.size:
                 break
-            zin = zk[rows]
+            zin = zk if rows.size == nb else zk[rows]
             prices = np.exp(zin)
             psi = payoff.evaluate(prices)
             # only rows with psi > 0 inside the widest band carry a nonzero
             # payload; every other row would add +0.0
             pos = np.flatnonzero(psi > 0)
-            gap = np.minimum(interp_level(solution.values, grid, k, zin[pos]) - psi[pos],
-                             interp_level(gap_field, grid, k, zin[pos]))
+            cells = lattice_cells(grid, zin[pos])
+            gap = np.minimum(interp_level(solution.values, grid, k, cells) - psi[pos],
+                             interp_level(gap_field, grid, k, cells))
             scale = 1.0 + psi[pos]
             band = gap <= tols[0] * scale
             sel, gap, scale = pos[band], gap[band], scale[band]
             psim = payoff.psi_minus(prices[sel], model.rates, model.gaussian)
-            jf = interp_level(solution.jump_field, grid, k, zin[sel])
+            jf = interp_level(solution.jump_field, grid, k, cells.rows(band))
             payload = np.exp(-r * times[k]) * (psim > 0) * (psim - jf) * dt
             for tol in tols:
                 in_band = gap <= tol * scale

@@ -545,22 +545,47 @@ class Solution:
                              f"at maturity {self.grid.T:g}, not {payoff.to_dict()} at maturity {T:g}")
 
 
-def interp_level(solution_field: np.ndarray, grid: Grid, level: int, zq: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of `solution_field[level]` at query log-points (n, d):
-    the sum over the 2^d cell corners, first axis fastest, of value * weights."""
-    level_values = solution_field[level]
-    idx, frac = [], []
+@dataclass(frozen=True)
+class LatticeCells:
+    """The lattice cell of each of n query log-points: `index[c]` holds the
+    flat index, in a C-order raveled level, of cell corner `corners(dim)[c]`
+    (2^d rows of n); `weights[i]` holds axis i's weights (1 - f, f)."""
+
+    index: np.ndarray
+    weights: tuple
+
+    def rows(self, sel: np.ndarray) -> "LatticeCells":
+        """The cells of the query points `sel` (a mask or indices)."""
+        return LatticeCells(self.index[:, sel], tuple((w0[sel], w1[sel]) for w0, w1 in self.weights))
+
+
+def lattice_cells(grid: Grid, zq: np.ndarray) -> LatticeCells:
+    """The cell of each query log-point (n, d): per axis, pos = (z - z_min) / dz,
+    the cell's low node lo = floor(pos) clipped to [0, n_space - 2] (so points
+    off the grid extrapolate from the edge cell) and f = pos - lo."""
+    base, weights = 0, []
     for i in range(grid.dim):
         pos = (zq[:, i] - grid.z_min[i]) / grid.dz[i]
         lo = np.clip(np.floor(pos).astype(int), 0, grid.n_space - 2)
-        idx.append(lo)
-        frac.append(pos - lo)
-    out = None
-    for corner in corners(grid.dim):
-        term = level_values[tuple(lo + c for lo, c in zip(idx, corner))]
-        for f, c in zip(frac, corner):
-            term = term * (f if c else 1 - f)
-        out = term if out is None else out + term
+        base = base * grid.n_space + lo  # C order: the last axis has stride 1
+        f = pos - lo
+        weights.append((1 - f, f))
+    offsets = np.ravel_multi_index(np.transpose(corners(grid.dim)), grid.shape)
+    return LatticeCells(base + offsets[:, None], tuple(weights))
+
+
+def interp_level(solution_field: np.ndarray, grid: Grid, level: int, cells: LatticeCells) -> np.ndarray:
+    """Multilinear interpolation of `solution_field[level]` in `cells` (from
+    `lattice_cells`): the sum, corner by corner in `corners(grid.dim)` order,
+    of the corner's value times its weight on each axis in turn.  Values are
+    read by flat index, so one set of cells serves every field on the grid."""
+    values = solution_field[level].ravel().take(cells.index)
+    for value, corner in zip(values, corners(grid.dim)):
+        for weights, c in zip(cells.weights, corner):
+            value *= weights[c]
+    out = values[0]
+    for value in values[1:]:
+        out += value
     return out
 
 

@@ -456,7 +456,10 @@ BAD_INPUTS = {
                     "unknown jumps key(s): intensity;"),
     "model-array": ({"model": [MERTON1D]}, "model spec must be a JSON object"),
     "rates-number": ({"model": _edit(MERTON1D, rates=5)}, "rates spec must be a JSON object"),
-    "jump-kind-number": ({"model": _edit(MERTON1D, jumps={"kind": 5})}, "unknown jump kind '5'"),
+    "jump-kind-number": ({"model": _edit(MERTON1D, jumps={"kind": 5})},
+                         "jump kind must be a string, got 5"),
+    "jump-kind-null": ({"model": _edit(MERTON1D, jumps={"kind": None})},
+                       "jump kind must be a string, got None"),
     "merton-no-mean": ({"model": _edit(MERTON1D, jumps=_edit(MERTON_JUMPS, mean=None))},
                        "jumps spec needs key(s): mean"),
     "payoff-array": ({"payoff": [1]}, "payoff spec must be a JSON object"),

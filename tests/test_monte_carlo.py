@@ -10,7 +10,7 @@ from levypricer.monte_carlo import (MCConfig, RegressionBasis, _estimate, _fit_c
                                     estimate_premium_mc, premium_sweep, price_american_ls,
                                     price_european_mc)
 from levypricer.payoffs import MAX_CALL, MIN_PUT, MULTI_STRIKE, _across
-from levypricer.pide import Grid, SolverConfig, interp_level
+from levypricer.pide import Grid, SolverConfig, interp_level, lattice_cells
 from oracles import bs_put, crr_american_put
 
 SPOT = 100.0
@@ -204,8 +204,9 @@ class TestPremiumEstimator:
         j = np.flatnonzero(psi > 0)[0]
         mid = np.array([[0.5 * (z[j] + z[j + 1])]])
         psi_mid = payoff.evaluate(np.exp(mid))[0]
-        assert interp_level(values, grid, 0, mid)[0] - psi_mid > 1e3 * tol * (1.0 + psi_mid)
-        assert interp_level(values - psi, grid, 0, mid)[0] == 0.0
+        cells = lattice_cells(grid, mid)
+        assert interp_level(values, grid, 0, cells)[0] - psi_mid > 1e3 * tol * (1.0 + psi_mid)
+        assert interp_level(values - psi, grid, 0, cells)[0] == 0.0
         out, exit_fraction = premium_sweep(sol, [SPOT], 4000, seed=3, exercise_tols=(tol,))
         want = np.zeros(4000)
         for lo, block in simulate_log_blocks(model, np.array([SPOT]), 0.0, 1.0, grid.n_time,
@@ -362,9 +363,10 @@ def _row_by_row_sweep(model, payoff, solution, x, n_paths, seed, tols, n_threads
             prices = _untie(payoff, np.exp(zin))
             psi = payoff.evaluate(prices)
             psim = payoff.psi_minus(prices, model.rates, model.gaussian)
-            gap = np.minimum(interp_level(solution.values, grid, k, zin) - psi,
-                             interp_level(gap_field, grid, k, zin))
-            jf = interp_level(solution.jump_field, grid, k, zin)
+            cells = lattice_cells(grid, zin)
+            gap = np.minimum(interp_level(solution.values, grid, k, cells) - psi,
+                             interp_level(gap_field, grid, k, cells))
+            jf = interp_level(solution.jump_field, grid, k, cells)
             disc = np.exp(-model.rates.r * grid.times[k])
             payload = disc * (psim > 0) * (psim - jf) * grid.dt
             for tol in tols:

@@ -12,7 +12,7 @@ from scipy.ndimage import binary_erosion
 
 import levypricer as lp
 from levypricer import pide
-from levypricer.pide import SolverConfig, far_field_values, interp_level
+from levypricer.pide import SolverConfig, far_field_values, interp_level, lattice_cells
 from oracles import (apply_jump_operator, beg_two_asset, bs_put, crr_american_put,
                      direct_step, merton_put_series, ndimage_exercise_band, scipy_fft_convolve_valid,
                      sparse_operator_1d, step_matrix_2d, stulz_two_asset, two_atom_put_series)
@@ -713,23 +713,31 @@ class TestInterpolate:
     def test_level_interp_vectorized(self, bs_solves):
         grid, _, amer, _ = bs_solves
         zq = np.array([[np.log(95.0)], [np.log(105.0)]])
-        out = interp_level(amer.values, grid, 0, zq)
+        out = interp_level(amer.values, grid, 0, lattice_cells(grid, zq))
         assert out.shape == (2,)
         assert out[0] > out[1]  # put value decreasing in price
 
     @pytest.mark.parametrize("solves", ["merton_solves", "minput2d_solves"])
     def test_level_interp_matches_per_dimension_formulas(self, solves, request):
-        # random points, points clamped beyond both grid ends, and the nodes
+        # random points, points clamped beyond both grid ends, and the nodes;
+        # a row subset of the cells reads as the cells of that row subset
         grid, _, amer, _ = request.getfixturevalue(solves)
         rng = np.random.default_rng(17)
         span = grid.z_max - grid.z_min
         zq = np.concatenate([
             rng.uniform(grid.z_min - 0.1 * span, grid.z_max + 0.1 * span, (20_000, grid.dim)),
             np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)])
-        for field in (amer.values, amer.jump_field):
+        assert np.any(zq < grid.z_min) and np.any(zq > grid.z_max)
+        cells = lattice_cells(grid, zq)
+        band = rng.uniform(size=zq.shape[0]) < 0.3
+        for field in (amer.values, amer.jump_field, amer.values - amer.obstacle):
             for k in (0, grid.n_time // 2, grid.n_time):
-                got = interp_level(field, grid, k, zq)
+                got = interp_level(field, grid, k, cells)
                 assert got.tobytes() == _interp_level_by_dimension(field, grid, k, zq).tobytes()
+                sub = interp_level(field, grid, k, cells.rows(band))
+                assert sub.tobytes() == interp_level(field, grid, k,
+                                                     lattice_cells(grid, zq[band])).tobytes()
+                assert sub.tobytes() == got[band].tobytes()
 
 
 def _interp_level_by_dimension(solution_field, grid, level, zq):
