@@ -38,6 +38,11 @@ class MCConfig:
     basis_degree: int = 3
     n_threads: int = 1
 
+    def __post_init__(self):
+        for key, minimum in (("n_paths", 1), ("n_steps", 1), ("seed", 0), ("basis_degree", 0),
+                             ("n_threads", 1)):
+            object.__setattr__(self, key, whole_number(getattr(self, key), key, minimum))
+
     @classmethod
     def from_dict(cls, spec: dict) -> "MCConfig":
         return cls(**spec_keys(spec, cls.__name__, optional=cls.__dataclass_fields__))

@@ -14,20 +14,18 @@ previous level's active set.  A moved set is solved by refactorizing (1D)
 or by a low-rank update of the last penalized factor (2D).
 `solve_pair` is the pipeline: grid, operator, American and European solves.
 
-In 1D the implicit matrices are `Tridiagonal` and `splu` factors them in
-numpy, so a 1D solve imports no scipy.  The jump convolution (numpy.fft in
-2D) and the residual masks are numpy too.  Only the 2D implicit step uses
-scipy: `assemble` and the operator's matrix builds import `scipy.sparse`, and
-`splu` imports `scipy.sparse.linalg`, where they are used: scipy costs more
-import time than numpy, and the package, `validate` and Monte Carlo need none
-of it.
+The implicit matrices are `Banded`, numpy diagonals keyed by flat offset, in
+every dimension, so numpy assembles and applies them.  `splu` factors a 1D
+one in numpy and hands a 2D one to SuperLU, the only code that imports scipy
+(`scipy.sparse` and `scipy.sparse.linalg`, at the first 2D factorization):
+scipy costs more import time than numpy, and the package, `validate`, Monte
+Carlo, 1D solves and 2D set-up need none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +33,6 @@ from .errors import (BetaTooSmall, LinearSolveFailure, NewtonStall, PenaltyNonMo
                      QuadratureTailTooHeavy, SchemeNotMonotone)
 from .model import LevyModel, check_spot_and_maturity, corners, model_to_dict, real_number, spec_keys, whole_number
 from .payoffs import Payoff
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 _NEWTON_CAP = 50
 _OBSTACLE_SLACK = 1e-8  # ladder monotonicity slack
@@ -190,26 +185,28 @@ def _axis_bands(dz: float, b: float, a_diag: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class Tridiagonal:
-    """A tridiagonal matrix by rows: row i holds lower[i], main[i] and upper[i]
-    in columns i - 1, i and i + 1 (lower[0] and upper[-1] are zero).
+class Banded:
+    """A square matrix by diagonals: `bands` maps each flat offset o (0 among
+    them) to an (N,) array, and row i holds `bands[o][i]` in column i + o.
+    The generator, step and penalized matrices take this form in every dimension."""
 
-    The 1D local generator, step and penalized matrices take this form, so a
-    1D solve needs no `scipy.sparse`.
-    """
-
-    lower: np.ndarray
-    main: np.ndarray
-    upper: np.ndarray
+    bands: dict
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = self.main * x
-        out[1:] += self.lower[1:] * x[:-1]
-        out[:-1] += self.upper[:-1] * x[1:]
+        out = self.bands[0] * x
+        for o in sorted(self.bands.keys() - {0}):
+            lo, hi = max(0, -o), len(x) - max(0, o)  # the rows whose column i + o exists
+            out[lo:hi] += self.bands[o][lo:hi] * x[lo + o:hi + o]
         return out
 
-    def plus_diagonal(self, diagonal: np.ndarray) -> "Tridiagonal":
-        return Tridiagonal(self.lower, self.main + diagonal, self.upper)
+    def plus_diagonal(self, diagonal: np.ndarray) -> "Banded":
+        return Banded({**self.bands, 0: self.bands[0] + diagonal})
+
+    def tocsc(self):
+        """The matrix in `scipy.sparse` CSC format, zero entries dropped."""
+        import scipy.sparse as sp
+        return sp.diags([band[max(0, -o):] for o, band in self.bands.items()], list(self.bands),
+                        shape=(self.bands[0].size,) * 2, format="csc")
 
 
 def _doubling(alpha: np.ndarray, x: np.ndarray) -> list:
@@ -232,7 +229,7 @@ def _doubling(alpha: np.ndarray, x: np.ndarray) -> list:
 
 
 class _TridiagonalLU:
-    """LU of a `Tridiagonal` without row exchanges.
+    """LU of a three-band `Banded` (offsets -1, 0, 1) without row exchanges.
 
     The pivots come from the Thomas recurrence, once per factorization.
     Each `solve` runs the two bidiagonal recurrences, forward through the
@@ -244,16 +241,16 @@ class _TridiagonalLU:
     only adds to the diagonal), and the boundary rows are identity rows.
     """
 
-    def __init__(self, matrix: Tridiagonal):
-        lower, main, upper = matrix.lower.tolist(), matrix.main.tolist(), matrix.upper.tolist()
+    def __init__(self, matrix: Banded):
+        lower, main, upper = (matrix.bands[o].tolist() for o in (-1, 0, 1))
         pivots = [main[0]]
         for i in range(1, len(main)):
             pivots.append(main[i] - lower[i] / pivots[-1] * upper[i - 1])
         self._pivots = np.array(pivots)
         self._work = np.empty_like(self._pivots)
-        multipliers = np.r_[0.0, matrix.lower[1:] / self._pivots[:-1]]
+        multipliers = np.r_[0.0, matrix.bands[-1][1:] / self._pivots[:-1]]
         self._forward = _doubling(-multipliers, self._work)
-        self._backward = _doubling((-matrix.upper / self._pivots)[::-1], self._work[::-1])
+        self._backward = _doubling((-matrix.bands[1] / self._pivots)[::-1], self._work[::-1])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         np.copyto(self._work, rhs)
@@ -267,15 +264,12 @@ class _TridiagonalLU:
 
 @dataclass
 class DiscreteOperator:
-    """Local generator plus the explicit jump-convolution stencil.
-
-    The generator and the step and penalized matrices built from it are
-    `Tridiagonal` in 1D and `scipy.sparse` matrices in 2D.
-    """
+    """Local generator plus the explicit jump-convolution stencil.  The
+    generator and the step and penalized matrices built from it are `Banded`."""
 
     grid: Grid
     model: LevyModel
-    local: Tridiagonal | sp.spmatrix  # (1/2) sum a_ij D2_ij + sum b_i D_i - lambda I, interior rows
+    local: Banded               # (1/2) sum a_ij D2_ij + sum b_i D_i - lambda I, interior rows
     boundary_mask: np.ndarray   # flat boolean, True on grid boundary nodes
     stencil: np.ndarray         # jump cell masses, sums to lambda
     offsets: tuple              # stencil half-width in cells per axis
@@ -339,25 +333,19 @@ class DiscreteOperator:
         return np.exp(self.grid.mesh().reshape(-1, self.grid.dim)[self.boundary_mask])
 
     @cached_property
-    def step_matrix(self) -> Tridiagonal | sp.csc_matrix:
+    def step_matrix(self) -> Banded:
         """I/dt - local on interior rows, identity on boundary rows.
 
         The rate term is not in the matrix: r I commutes with the generator,
         so discounting is applied as an exact e^{-r dt} factor after each step.
         """
         diagonal = np.where(self.grid.interior.ravel(), 1.0 / self.grid.dt, 1.0)
-        if self.grid.dim == 1:  # 0.0 - x: a zero entry stays +0.0
-            return Tridiagonal(0.0 - self.local.lower, diagonal - self.local.main,
-                               0.0 - self.local.upper)
-        import scipy.sparse as sp
-        return (sp.diags(diagonal) - self.local).tocsc()
+        # 0.0 - x off the diagonal: a zero entry stays +0.0
+        return Banded({o: (diagonal if o == 0 else 0.0) - band for o, band in self.local.bands.items()})
 
-    def penalized_matrix(self, n_pen: float, active: np.ndarray) -> Tridiagonal | sp.csc_matrix:
+    def penalized_matrix(self, n_pen: float, active: np.ndarray) -> Banded:
         """`step_matrix` + n_pen diag(active): the step of a penalized set."""
-        if self.grid.dim == 1:
-            return self.step_matrix.plus_diagonal(n_pen * active)
-        import scipy.sparse as sp
-        return (self.step_matrix + sp.diags(n_pen * active.astype(float))).tocsc()
+        return self.step_matrix.plus_diagonal(n_pen * active)
 
     @property
     def disc(self) -> float:
@@ -387,10 +375,10 @@ def _next_fast_len(n: int) -> int:
 def splu(matrix):
     """LU of a step or penalized matrix, the one factorization entry point.
 
-    A 1D `Tridiagonal` gets the numpy `_TridiagonalLU`, without row
-    exchanges.  A 2D sparse matrix gets SuperLU (`scipy.sparse.linalg` loads
-    at the first such call) with a symmetric minimum-degree order (Liu 1985)
-    on the pattern of A + A^T and diagonal pivots.
+    A three-band (1D) `Banded` gets the numpy `_TridiagonalLU`, without row
+    exchanges.  Any other (2D) one gets SuperLU on its `tocsc` (scipy loads at
+    the first such call) with a symmetric minimum-degree order (Liu 1985) on
+    the pattern of A + A^T and diagonal pivots.
 
     Every 2D such matrix has a symmetric pattern; on a 2D grid this order fills
     the factor 1.3-1.6x less than SuperLU's default COLAMD.  Diagonal pivots
@@ -400,10 +388,10 @@ def splu(matrix):
     guard bounds.  At 0.999 of that bound the rows are not diagonally
     dominant, and the solve still matches partial pivoting to 1e-12.
     """
-    if isinstance(matrix, Tridiagonal):
+    if matrix.bands.keys() == {-1, 0, 1}:
         return _TridiagonalLU(matrix)
     from scipy.sparse.linalg import splu
-    return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 
@@ -435,9 +423,11 @@ def _jump_stencil(model: LevyModel, grid: Grid, y_max_tail: float):
 
 
 def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_max_tail) -> DiscreteOperator:
-    """Build the local generator and the jump stencil on the grid: in 1D a
-    `Tridiagonal`, in 2D the Kronecker sums of the same per-axis bands as
-    `scipy.sparse` matrices.
+    """Build the local generator as a `Banded` and the jump stencil on the grid.
+
+    Axis i puts its differences at flat offsets -s, 0, s, stride s = n^(d-1-i)
+    in C order, each offset summed in the order of the Kronecker sum
+    sum_i (a_ii/2) D2_i + a_12 Dc (x) Dc + sum_i b_i D1_i - lambda I; boundary rows are zero.
 
     Raises when the explicit jump term would break the CFL-like bound
     dt * lambda < 1 or the mixed-derivative stencil breaks monotonicity.
@@ -459,21 +449,17 @@ def assemble(model: LevyModel, grid: Grid, y_max_tail: float = SolverConfig.y_ma
                 f"bound min(a11 dz2/dz1, a22 dz1/dz2) = {lim:.3g}; lower the correlation below it")
 
     d2, d1, dc = zip(*(_axis_bands(dz[i], b[i], a[i, i]) for i in range(grid.dim)))
+    strides, steps = [n ** (grid.dim - 1 - i) for i in range(grid.dim)], (-1, 0, 1)
+    terms = [(s * j, 0.5 * a[i, i] * v) for i, s in enumerate(strides) for j, v in zip(steps, d2[i])]
+    if grid.dim == 2:
+        terms += [(n * j + k, a[0, 1] * (v0 * v1)) for j, v0 in zip(steps, dc[0])
+                  for k, v1 in zip(steps, dc[1])]
+    terms += [(s * j, b[i] * v) for i, s in enumerate(strides) for j, v in zip(steps, d1[i])]
+    sums = {}
+    for o, v in terms + [(0, -lam)]:  # the first value at an offset as it is, not 0.0 + it
+        sums[o] = sums[o] + v if o in sums else v
     interior = grid.interior.ravel()
-    if grid.dim == 1:
-        bands = [0.5 * a[0, 0] * second + b[0] * first for second, first in zip(d2[0], d1[0])]
-        bands[1] -= lam
-        local = Tridiagonal(*(np.where(interior, band, 0.0) for band in bands))
-    else:
-        import scipy.sparse as sp
-        d2, d1, dc = ([sp.diags(bands, (-1, 0, 1), shape=(n, n)) for bands in diff]
-                      for diff in (d2, d1, dc))
-        eye = sp.identity(n)
-        local = 0.5 * a[0, 0] * sp.kron(d2[0], eye) + 0.5 * a[1, 1] * sp.kron(eye, d2[1]) \
-            + a[0, 1] * sp.kron(dc[0], dc[1]) \
-            + b[0] * sp.kron(d1[0], eye) + b[1] * sp.kron(eye, d1[1])
-        local = local - lam * sp.identity(n ** grid.dim)
-        local = (sp.diags(interior.astype(float)) @ local.tocsr()).tocsr()
+    local = Banded({o: np.where(interior, v, 0.0) for o, v in sums.items()})
 
     stencil, m, defect = _jump_stencil(model, grid, y_max_tail)
     kappa = model.jumps.mean_exp_minus_one(model.dim)

@@ -139,14 +139,28 @@ def sparse_operator_1d(model, grid, n_pen, active):
     return local.tocsr(), step, (step + sp.diags(n_pen * active.astype(float))).tocsc()
 
 
-def step_matrix_2d(operator):
-    """The 2D step matrix by the expression `DiscreteOperator.step_matrix`
-    replaced, kept as its reference: the interior rows of `I/dt - local`
-    by a diagonal mask, plus the identity's boundary rows."""
+def sparse_operator_2d(model, grid, n_pen, active):
+    """(local, step, penalized) matrices of a 2D grid by the scipy.sparse
+    Kronecker assembly that the banded one replaced, kept as its reference:
+    `(1/2) a11 D2 (x) I + (1/2) a22 I (x) D2 + a12 Dc (x) Dc + b1 D1 (x) I
+    + b2 I (x) D1 - lambda I` on interior rows, by a diagonal mask, with each
+    axis's bands from `pide._axis_bands`; the interior rows of `I/dt - local`
+    plus the identity's boundary rows; the step plus `n_pen diag(active)`."""
     import scipy.sparse as sp
-    interior = operator.grid.interior.ravel()
-    a = sp.diags(interior.astype(float)) @ (sp.identity(interior.size) / operator.grid.dt - operator.local)
-    return (a + sp.diags(operator.boundary_mask.astype(float))).tocsc()
+    from levypricer.pide import _axis_bands
+    a, b, n = model.gaussian.a, model.log_drift, grid.n_space
+    d2, d1, dc = ([sp.diags(bands, (-1, 0, 1), shape=(n, n)) for bands in diff] for diff in
+                  zip(*(_axis_bands(grid.dz[i], b[i], a[i, i]) for i in range(2))))
+    eye = sp.identity(n)
+    local = 0.5 * a[0, 0] * sp.kron(d2[0], eye) + 0.5 * a[1, 1] * sp.kron(eye, d2[1]) \
+        + a[0, 1] * sp.kron(dc[0], dc[1]) \
+        + b[0] * sp.kron(d1[0], eye) + b[1] * sp.kron(eye, d1[1])
+    local = local - model.jumps.intensity * sp.identity(n * n)
+    interior = grid.interior.ravel()
+    local = (sp.diags(interior.astype(float)) @ local.tocsr()).tocsr()
+    step = sp.diags(interior.astype(float)) @ (sp.identity(n * n) / grid.dt - local)
+    step = (step + sp.diags((~interior).astype(float))).tocsc()
+    return local, step, (step + sp.diags(n_pen * active.astype(float))).tocsc()
 
 
 def direct_step(operator, payoff, upper, k):
@@ -154,8 +168,8 @@ def direct_step(operator, payoff, upper, k):
     built afresh as a reference for the solver's shared step: the jump
     convolution through `extend` with ring values from one scalar
     `far_field_values` call, boundary rows from another, the solve by
-    `spsolve` on the step matrix (`sparse_operator_1d`'s in 1D), then the
-    discount e^{-r dt}."""
+    `spsolve` on the step matrix of `sparse_operator_1d` or
+    `sparse_operator_2d`, then the discount e^{-r dt}."""
     from scipy.sparse.linalg import spsolve
     grid, model = operator.grid, operator.model
     disc = np.exp(-model.rates.r * grid.dt)
@@ -165,8 +179,8 @@ def direct_step(operator, payoff, upper, k):
         rhs = rhs + operator.convolve(operator.extend(upper, ring)).ravel()
     rhs[operator.boundary_mask] = far_field_values(
         payoff, model, operator.boundary_prices, grid.T - grid.times[k]) / disc
-    step = operator.step_matrix if grid.dim == 2 else \
-        sparse_operator_1d(model, grid, 0.0, np.zeros(grid.n_space, dtype=bool))[1]
+    sparse_operator = sparse_operator_1d if grid.dim == 1 else sparse_operator_2d
+    step = sparse_operator(model, grid, 0.0, np.zeros(grid.interior.size, dtype=bool))[1]
     return disc * spsolve(step, rhs).reshape(grid.shape)
 
 

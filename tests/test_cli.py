@@ -88,6 +88,55 @@ class TestValidate:
         assert "--threads" in capsys.readouterr().err
 
 
+_COUNT_CASES = [
+    ("--mc-config", {"n_threads": 0}, "n_threads"),
+    ("--mc-config", {"n_threads": 2.5}, "n_threads"),
+    ("--threads", "-3", "n_threads"),
+    ("--mc-config", {"n_paths": 2000.5}, "n_paths"),
+    ("--mc-config", {"n_steps": 20.5}, "n_steps"),
+    ("--mc-config", {"basis_degree": 2.5}, "degree"),
+    ("--mc-config", {"basis_degree": -1}, "degree"),
+    ("--solver-config", {"n_space": 101.0}, "n_space"),
+    ("--solver-config", {"n_time": 20.5}, "n_time"),
+    ("--solver-config", {"penalty_ladder": 100}, "penalty_ladder"),
+    ("--solver-config", {"penalty_ladder": []}, "penalty_ladder"),
+    ("--mc-config", {"seed": 2.5}, "seed"),
+    ("--mc-config", {"seed": -1}, "seed"),
+    ("--mc-config", {"n_threads": None}, "n_threads"),
+    ("--solver-config", {"trunc_tol": 0}, "trunc_tol"),
+    ("--solver-config", {"trunc_tol": 2.0}, "trunc_tol"),
+    ("--solver-config", {"beta": float("nan")}, "beta"),
+    ("--solver-config", {"beta": float("inf")}, "beta"),
+    ("--solver-config", {"penalty_ladder": [0.0]}, "penalty_ladder entry"),
+    ("--solver-config", {"y_max_tail": 0}, "y_max_tail"),
+    ("--solver-config", {"y_max_tail": -1}, "y_max_tail"),
+    ("--solver-config", {"exercise_tol": -1}, "exercise_tol"),
+]
+_COUNT_IDS = ["n_threads-0", "n_threads-2.5", "threads-flag-neg3", "n_paths-2000.5",
+              "n_steps-20.5", "basis_degree-2.5", "basis_degree-neg1", "n_space-101.0",
+              "n_time-20.5", "penalty_ladder-100", "penalty_ladder-empty", "seed-2.5",
+              "seed-neg1", "n_threads-null", "trunc_tol-0", "trunc_tol-2", "beta-nan",
+              "beta-inf", "penalty_ladder-0", "y_max_tail-0", "y_max_tail-neg1",
+              "exercise_tol-neg1"]
+# the Monte Carlo settings, also refused by a price that runs no Monte Carlo
+_MC_COUNT_CASES = [pytest.param(*case, id=name) for case, name in zip(_COUNT_CASES, _COUNT_IDS)
+                   if case[0] != "--solver-config"]
+
+
+def _price_with_config(tmp_path, flag, spec, method) -> int:
+    """Exit code of a bs1d `price --method method` with one bad setting in
+    its MC or solver config, or in `--threads`."""
+    base = {"--mc-config": {"n_paths": 1000, "n_steps": 10},
+            "--solver-config": {"n_space": 101, "n_time": 20, "beta": 5.0}}
+    if flag == "--threads":
+        extra = ["--threads", spec, "--mc-config", _write(tmp_path, "mc.json", base["--mc-config"])]
+    else:
+        extra = [flag, _write(tmp_path, "config.json", {**base[flag], **spec})]
+    return main(["price", "--model", str(CONFIGS / "models" / "bs1d.json"),
+                 "--payoff", str(CONFIGS / "payoffs" / "put100_1d.json"), "--spot", "100",
+                 "--T", "1.0", "--method", method, *extra])
+
+
 class TestPrice:
     def test_both_methods_agree(self, small_setup, capsys):
         model, payoff, solver, mc, out = small_setup
@@ -167,49 +216,19 @@ class TestPrice:
         assert main(["validate", "--model", model]) == 2
         assert "dim must be a whole number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, spec, key", [
-        ("--mc-config", {"n_threads": 0}, "n_threads"),
-        ("--mc-config", {"n_threads": 2.5}, "n_threads"),
-        ("--threads", "-3", "n_threads"),
-        ("--mc-config", {"n_paths": 2000.5}, "n_paths"),
-        ("--mc-config", {"n_steps": 20.5}, "n_steps"),
-        ("--mc-config", {"basis_degree": 2.5}, "degree"),
-        ("--mc-config", {"basis_degree": -1}, "degree"),
-        ("--solver-config", {"n_space": 101.0}, "n_space"),
-        ("--solver-config", {"n_time": 20.5}, "n_time"),
-        ("--solver-config", {"penalty_ladder": 100}, "penalty_ladder"),
-        ("--solver-config", {"penalty_ladder": []}, "penalty_ladder"),
-        ("--mc-config", {"seed": 2.5}, "seed"),
-        ("--mc-config", {"seed": -1}, "seed"),
-        ("--mc-config", {"n_threads": None}, "n_threads"),
-        ("--solver-config", {"trunc_tol": 0}, "trunc_tol"),
-        ("--solver-config", {"trunc_tol": 2.0}, "trunc_tol"),
-        ("--solver-config", {"beta": float("nan")}, "beta"),
-        ("--solver-config", {"beta": float("inf")}, "beta"),
-        ("--solver-config", {"penalty_ladder": [0.0]}, "penalty_ladder entry"),
-        ("--solver-config", {"y_max_tail": 0}, "y_max_tail"),
-        ("--solver-config", {"y_max_tail": -1}, "y_max_tail"),
-        ("--solver-config", {"exercise_tol": -1}, "exercise_tol"),
-    ], ids=["n_threads-0", "n_threads-2.5", "threads-flag-neg3", "n_paths-2000.5",
-            "n_steps-20.5", "basis_degree-2.5", "basis_degree-neg1", "n_space-101.0",
-            "n_time-20.5", "penalty_ladder-100", "penalty_ladder-empty", "seed-2.5",
-            "seed-neg1", "n_threads-null", "trunc_tol-0", "trunc_tol-2", "beta-nan",
-            "beta-inf", "penalty_ladder-0", "y_max_tail-0", "y_max_tail-neg1",
-            "exercise_tol-neg1"])
+    @pytest.mark.parametrize("flag, spec, key", _COUNT_CASES, ids=_COUNT_IDS)
     def test_counts_and_ladder_are_usage_errors(self, tmp_path, capsys, flag, spec, key):
         # each once ran on one thread or with a shifted or NaN price and exit 0,
         # or ended in a traceback (exit 1)
-        base = {"--mc-config": {"n_paths": 1000, "n_steps": 10},
-                "--solver-config": {"n_space": 101, "n_time": 20, "beta": 5.0}}
-        if flag == "--threads":
-            extra = ["--threads", spec, "--mc-config", _write(tmp_path, "mc.json", base["--mc-config"])]
-        else:
-            extra = [flag, _write(tmp_path, "config.json", {**base[flag], **spec})]
-        code = main(["price", "--model", str(CONFIGS / "models" / "bs1d.json"),
-                     "--payoff", str(CONFIGS / "payoffs" / "put100_1d.json"), "--spot", "100",
-                     "--T", "1.0", "--method", "pide" if flag == "--solver-config" else "mc",
-                     *extra])
-        assert code == 2
+        method = "pide" if flag == "--solver-config" else "mc"
+        assert _price_with_config(tmp_path, flag, spec, method) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, spec, key", _MC_COUNT_CASES)
+    def test_mc_settings_are_checked_without_monte_carlo(self, tmp_path, capsys, flag, spec, key):
+        # an MC config is checked when it is built, as a solver config is; a
+        # PIDE-only price once ignored these settings and exited 0
+        assert _price_with_config(tmp_path, flag, spec, "pide") == 2
         assert f"{key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("beta", "5"), ("trunc_tol", True),

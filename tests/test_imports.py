@@ -8,8 +8,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
-# the only scipy modules the package imports, where the 2D implicit step
-# uses them: scipy.sparse for its matrices, scipy.sparse.linalg for SuperLU
+# the only scipy modules the package imports, at the first 2D factorization:
+# scipy.sparse for its CSC matrix, scipy.sparse.linalg for SuperLU
 DEFERRED = "(['scipy', 'sparse'],)"
 # the modules whose numpy and stdlib replacements the package uses (Merton's
 # normal CDF and quantile, the 2D convolution, the residual's masks); the
@@ -42,7 +42,7 @@ def _quiet_main(argv) -> str:
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.stats and scipy.signal cost about a second of import time
     # between them; the package needs neither, and defers every submodule
-    # it uses: scipy.sparse to the first operator assembly
+    # it uses: both scipy.sparse modules to the first 2D factorization
     assert _scipy_modules("import levypricer") == "[]"
 
 
@@ -101,6 +101,17 @@ def test_two_dimensional_price_loads_only_the_sparse_modules(tmp_path):
     assert replaced == "[]"
     assert "'scipy.sparse.linalg'" in deferred
     assert (tmp_path / "out" / "american_solution.csv").exists()
+
+
+def test_two_dimensional_setup_loads_no_scipy():
+    # the 2D generator and the step and penalized matrices are numpy bands
+    code = ("import levypricer as lp\n"
+            f"model = lp.load_model({str(ROOT / 'configs/models/merton2d.json')!r})\n"
+            f"payoff = lp.load_payoff({str(ROOT / 'configs/payoffs/minput100_2d.json')!r})\n"
+            "grid = lp.build_grid(model, payoff, [100.0, 100.0], 0.5, 61, 20, 5.0, 1e-5)\n"
+            "op = lp.assemble(model, grid)\n"
+            "op.step_matrix, op.penalized_matrix(1e3, grid.interior.ravel())")
+    assert _scipy_modules(code) == "[]"
 
 
 def test_one_dimensional_converge_loads_no_scipy(tmp_path):

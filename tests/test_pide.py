@@ -15,7 +15,7 @@ from levypricer import pide
 from levypricer.pide import SolverConfig, far_field_values, interp_level, lattice_cells
 from oracles import (apply_jump_operator, beg_two_asset, bs_put, crr_american_put,
                      direct_step, merton_put_series, ndimage_exercise_band, scipy_fft_convolve_valid,
-                     sparse_operator_1d, step_matrix_2d, stulz_two_asset, two_atom_put_series)
+                     sparse_operator_1d, sparse_operator_2d, stulz_two_asset, two_atom_put_series)
 from test_payoff_properties import catalog
 
 SPOT = 100.0
@@ -444,8 +444,8 @@ class TestSolveAmerican:
         op = lp.assemble(merton2d_model, grid)
         amer = lp.solve_american_penalty(merton2d_model, min_put_2d, grid, op)
         psi = amer.obstacle.ravel()
-        step = op.step_matrix.diagonal()
-        sets = [np.flatnonzero(m.diagonal() != step) for m in factorized] + updated
+        step = op.step_matrix.bands[0]
+        sets = [np.flatnonzero(m.bands[0] != step) for m in factorized] + updated
         assert all(psi[s].min() > 0 for s in sets if s.size)
         assert len(factorized) == 1 + sum(amer.metadata["factorizations"])
         assert sum(s.size for s in updated) == sum(amer.metadata["update_columns"]) > 0
@@ -771,16 +771,30 @@ class TestTwoDimensional:
         assert grid.axes[0][ci[0]] == pytest.approx(np.log(SPOT), abs=1e-12)
         assert grid.axes[1][ci[1]] == pytest.approx(np.log(SPOT), abs=1e-12)
 
-    @pytest.mark.parametrize("n_space", [51, 61, 151])
-    def test_step_matrix_matches_masked_reference(self, merton2d_model, min_put_2d, n_space):
-        # diag(1/dt on interior, 1 on boundary) - local: the same stored
-        # pattern and values as the masked expression it replaced
-        grid = lp.build_grid(merton2d_model, min_put_2d, [SPOT, SPOT], 0.5, n_space, 20,
-                             beta=5.0, trunc_tol=1e-5)
-        op = lp.assemble(merton2d_model, grid)
-        step, ref = op.step_matrix, step_matrix_2d(op)
-        for part in ("indptr", "indices", "data"):
-            assert getattr(step, part).tobytes() == getattr(ref, part).tobytes(), part
+    @pytest.mark.parametrize("case, n_space", [
+        ("merton2d", 51), ("merton2d", 61), ("merton2d", 151), ("a12_zero", 61),
+        ("kou_a12_negative", 61), ("upwind", 61)],
+        ids=["51", "61", "151", "a12_zero", "kou_a12_negative", "upwind"])
+    def test_step_matrix_matches_masked_reference(self, merton2d_model, min_put_2d, case, n_space):
+        # the banded local, step and penalized matrices store the pattern and
+        # values of the scipy.sparse Kronecker assembly they replaced, and the
+        # banded product is the sparse one within round-off
+        model = _two_dimensional_model(case, merton2d_model)
+        grid = lp.build_grid(model, min_put_2d, [SPOT, SPOT], 0.5, n_space, 20, beta=5.0,
+                             trunc_tol=1e-5)
+        peclet = np.abs(model.log_drift) * grid.dz / np.diag(model.gaussian.a)
+        assert np.all(peclet > 1.0) == (case == "upwind")
+        op = lp.assemble(model, grid)
+        rng = np.random.default_rng(13)
+        active = grid.interior.ravel() & (rng.random(grid.interior.size) < 0.4)
+        refs = sparse_operator_2d(model, grid, 1e3, active)
+        for got, ref in zip((op.local, op.step_matrix, op.penalized_matrix(1e3, active)), refs):
+            got, ref = got.tocsc(), ref.tocsc()
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got, part).tobytes() == getattr(ref, part).tobytes(), part
+        x = rng.uniform(-50.0, 150.0, grid.interior.size)
+        local = op.local.tocsc()
+        assert np.all(np.abs(op.local @ x - local @ x) <= 1e-15 * (abs(local) @ abs(x)))
 
     def test_mixed_term_monotonicity_guard(self, min_put_2d):
         a = [[0.01, 0.02], [0.02, 0.09]]  # positive definite, |a12| > min(a11, a22)
@@ -801,11 +815,12 @@ class TestTwoDimensional:
         model = lp.LevyModel(lp.GaussianPart(a=[[a[0, 0], a12], [a12, a[1, 1]]]),
                              merton2d_model.jumps, merton2d_model.rates)
         matrix = lp.assemble(model, grid).step_matrix
-        margin = 2 * matrix.diagonal() - abs(matrix).sum(axis=1).A1  # diagonal minus the rest
+        csc = matrix.tocsc()
+        margin = 2 * csc.diagonal() - abs(csc).sum(axis=1).A1  # diagonal minus the rest
         assert margin.min() < -1.0
-        b = np.random.default_rng(7).standard_normal(matrix.shape[0])
+        b = np.random.default_rng(7).standard_normal(csc.shape[0])
         x = pide.splu(matrix).solve(b)
-        ref = scipy.sparse.linalg.splu(matrix).solve(b)
+        ref = scipy.sparse.linalg.splu(csc).solve(b)
         assert np.abs(matrix @ x - b).max() <= 1e-12 * np.abs(b).max()
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -919,8 +934,25 @@ def _uncached_fft_convolve_valid(a, kernel):
     return out[tuple(slice(sk - 1, sa) for sa, sk in zip(a.shape, kernel.shape))]
 
 
-def _dense(matrix: pide.Tridiagonal) -> np.ndarray:
-    return np.diag(matrix.main) + np.diag(matrix.lower[1:], -1) + np.diag(matrix.upper[:-1], 1)
+def _dense(matrix: pide.Banded) -> np.ndarray:
+    n = matrix.bands[0].size
+    return sum(np.diag(band[max(0, -o):n - max(0, o)], o) for o, band in matrix.bands.items())
+
+
+def _two_dimensional_model(case: str, merton2d_model):
+    """merton2d; its Gaussian part and rates with a12 = 0; a12 < 0 with Kou
+    jumps; or a = 1e-3 I, r 0.3, delta (0, 0.6) without jumps, whose cell
+    Peclet numbers exceed 1 on both axes."""
+    a, jumps, rates = merton2d_model.gaussian.a, merton2d_model.jumps, merton2d_model.rates
+    if case == "a12_zero":
+        a = np.diag(np.diag(a))
+    elif case == "kou_a12_negative":
+        a = [[0.04, -0.01], [-0.01, 0.09]]
+        jumps = lp.JumpSpec(0.3, lp.KouDoubleExponential(p_up=[0.4, 0.3], eta_plus=[10.0, 12.0],
+                                                         eta_minus=[5.0, 6.0]))
+    elif case == "upwind":
+        a, jumps, rates = 1e-3 * np.eye(2), lp.JumpSpec(0.0), lp.Rates(r=0.3, delta=[0.0, 0.6])
+    return lp.LevyModel(lp.GaussianPart(a=a), jumps, rates)
 
 
 def _drift_model(a: float, carry: float, lam: float = 0.0):
@@ -946,9 +978,10 @@ class TestTridiagonal:
         active = grid.interior.ravel() & (rng.random(grid.n_space) < 0.4)
         refs = sparse_operator_1d(model, grid, 1e3, active)
         for got, ref in zip((op.local, op.step_matrix, op.penalized_matrix(1e3, active)), refs):
-            assert got.main.tobytes() == ref.diagonal().tobytes()
-            assert got.lower.tobytes() == np.r_[0.0, ref.diagonal(-1)].tobytes()
-            assert got.upper.tobytes() == np.r_[ref.diagonal(1), 0.0].tobytes()
+            assert got.bands.keys() == {-1, 0, 1}
+            assert got.bands[0].tobytes() == ref.diagonal().tobytes()
+            assert got.bands[-1].tobytes() == np.r_[0.0, ref.diagonal(-1)].tobytes()
+            assert got.bands[1].tobytes() == np.r_[ref.diagonal(1), 0.0].tobytes()
         x = rng.uniform(-50.0, 150.0, grid.n_space)
         assert np.all(np.abs(op.local @ x - refs[0] @ x) <= 1e-15 * (abs(refs[0]) @ abs(x)))
 
